@@ -1,4 +1,5 @@
-// Ablations of the design choices DESIGN.md §5 calls out:
+// Ablations of the design choices listed in README.md ("Substitutions and
+// ablations"):
 //   A1  ADC bit-width vs inference accuracy (the §II-D quantization-error
 //       discussion)
 //   A2  variability sigma sweep on tile-level inference ("stochasticity as
@@ -24,7 +25,7 @@
 
 int main() {
   using namespace neuspin;
-  bench::banner("bench_ablations", "design-choice ablations (DESIGN.md §5)");
+  bench::banner("bench_ablations", "design-choice ablations (README.md, \"Substitutions and ablations\")");
 
   data::StrokeConfig sc;
   sc.samples_per_class = 120;

@@ -2,7 +2,7 @@
 // energy per image for the five NeuSpin methods.
 //
 // Protocol: every method trains the SAME binary CNN backbone (stroke-digit
-// dataset, DESIGN.md substitution for the paper's image benchmarks) with
+// dataset, the README's substitution for the paper's image benchmarks) with
 // its own Bayesian machinery, is evaluated with T=20 Monte-Carlo passes
 // under behavioural hardware noise, and its energy comes from the
 // architecture census under the shared component cost table.
@@ -86,7 +86,7 @@ int main() {
     }
   }
   std::printf("\nNotes: accuracies are measured on the stroke-digit substitute "
-              "task (DESIGN.md §2);\nenergies follow from the architecture census "
-              "calibrated once against the SpinDrop row.\n");
+              "task (README.md, \"Substitutions and ablations\");\nenergies follow "
+              "from the architecture census calibrated once against the SpinDrop row.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
 // Fidelity backends: one batched-prediction interface over the two
-// hardware-simulation fidelity levels (DESIGN.md §2).
+// hardware-simulation fidelity levels (README.md, "Substitutions and
+// ablations").
 //
 // Everything that answers Bayesian prediction requests — the serving
 // runtime's workers, the pooled tile evaluator, the benches — used to

@@ -1,6 +1,7 @@
 // Hardware deployment models.
 //
-// Two fidelity levels, used for different purposes (DESIGN.md §2):
+// Two fidelity levels, used for different purposes (README.md,
+// "Substitutions and ablations"):
 //
 //  * DenseTile-based inference (TiledMlp): full electrical simulation of
 //    every MVM — crossbar currents, ADC quantization, IR drop, defects.
@@ -11,7 +12,8 @@
 //    the same non-idealities folded into fast tensor ops — pre-activation
 //    quantization to the ADC LSB, Gaussian read noise, and binary-weight
 //    sign flips for stuck-at defects. Validated against the tile path in
-//    tests/hw_consistency_test.cpp; used by the accuracy benches.
+//    the HwConsistency.* tests in tests/integration_test.cpp; used by the
+//    accuracy benches.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,54 @@
 #include "core/spindrop.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "nn/model.h"
 
 namespace neuspin::core {
+
+namespace {
+
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+
+/// The splitmix64 output function (Steele et al.). nn::mix_seed is
+/// finalize(base + (salt + 1) * kGolden); a PseudoDropoutSource draw is
+/// finalize(state += kGolden). The row-mode tests pin the inline draw
+/// below against both.
+inline std::uint64_t splitmix_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Stream state of source `unit` after reseed(nn::mix_seed(row_seed, unit)).
+inline std::uint64_t row_source_state(std::uint64_t row_seed, std::uint64_t unit) {
+  return splitmix_finalize(row_seed + unit * kGolden + kGolden);
+}
+
+/// ceil(p * 2^53): for x < 2^53, x < threshold exactly when
+/// double(x) * 2^-53 < p (both scalings by 2^53 are exact).
+std::uint64_t drop_threshold(double p) {
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+/// Per-source thresholds when every source is pseudo, else empty.
+std::vector<std::uint64_t> pseudo_thresholds(
+    const std::vector<std::unique_ptr<DropoutSource>>& sources) {
+  std::vector<std::uint64_t> thresholds;
+  thresholds.reserve(sources.size());
+  for (const auto& s : sources) {
+    if (dynamic_cast<const PseudoDropoutSource*>(s.get()) == nullptr) {
+      return {};
+    }
+    thresholds.push_back(drop_threshold(s->probability()));
+  }
+  return thresholds;
+}
+
+}  // namespace
 
 PseudoDropoutSource::PseudoDropoutSource(double p, std::uint64_t seed)
     : p_(p), state_(seed) {
@@ -18,11 +61,8 @@ bool PseudoDropoutSource::sample() {
   // splitmix64 step (Steele et al.) -> uniform double in [0, 1) from the
   // top 53 bits. Full-period, statistically solid for Bernoulli gating,
   // and O(1) to reseed.
-  state_ += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
+  state_ += kGolden;
+  const std::uint64_t z = splitmix_finalize(state_);
   return static_cast<double>(z >> 11) * 0x1.0p-53 < p_;
 }
 
@@ -64,10 +104,12 @@ SpinDropLayer::SpinDropLayer(DropGranularity granularity,
       throw std::invalid_argument("SpinDropLayer: null dropout source");
     }
   }
+  pseudo_thresholds_ = pseudo_thresholds(sources_);
 }
 
 SpinDropLayer::SpinDropLayer(const SpinDropLayer& other)
     : granularity_(other.granularity_),
+      pseudo_thresholds_(other.pseudo_thresholds_),
       train_engine_(other.train_engine_),
       mc_mode_(other.mc_mode_),
       mask_(other.mask_) {
@@ -129,70 +171,95 @@ std::size_t SpinDropLayer::unit_count(const nn::Shape& shape) const {
   return 1;
 }
 
-void SpinDropLayer::apply_unit_mask(nn::Tensor& x, const std::vector<float>& unit_mask,
-                                    std::size_t b_begin, std::size_t b_end) const {
-  const nn::Shape& shape = x.shape();
-  const std::size_t batch = shape[0];
-  const std::size_t per_sample = x.numel() / batch;
+void SpinDropLayer::apply_unit_mask(const nn::Tensor& input, nn::Tensor& out,
+                                    std::span<const float> unit_mask,
+                                    std::size_t b_begin, std::size_t b_end) {
+  // Same values as gating a copy of the input in place and a tensor of ones
+  // alongside it: kept units copy x (feature-map / layer) or multiply it by
+  // 1 (neuron), dropped units multiply by 0 (neuron / feature-map) or write
+  // 0 (layer), and the mask holds the unit's decision.
+  const std::size_t batch = input.dim(0);
+  const std::size_t per_sample = input.numel() / batch;
+  const float* x = input.data().data();
+  float* y = out.data().data();
+  float* m = mask_.data().data();
   switch (granularity_) {
     case DropGranularity::kNeuron:
       for (std::size_t b = b_begin; b < b_end; ++b) {
+        const std::size_t row = b * per_sample;
         for (std::size_t u = 0; u < per_sample; ++u) {
-          x[b * per_sample + u] *= unit_mask[u];
+          y[row + u] = x[row + u] * unit_mask[u];
+          m[row + u] = unit_mask[u];
         }
       }
       break;
     case DropGranularity::kFeatureMap: {
-      const std::size_t channels = shape[1];
+      const std::size_t channels = input.dim(1);
       const std::size_t inner = per_sample / channels;
       for (std::size_t b = b_begin; b < b_end; ++b) {
         for (std::size_t c = 0; c < channels; ++c) {
-          const float m = unit_mask[c];
-          if (m == 1.0f) {
-            continue;
+          const float keep = unit_mask[c];
+          const std::size_t base = (b * channels + c) * inner;
+          if (keep == 1.0f) {
+            std::copy_n(x + base, inner, y + base);
+          } else {
+            for (std::size_t i = 0; i < inner; ++i) {
+              y[base + i] = x[base + i] * keep;
+            }
           }
-          for (std::size_t i = 0; i < inner; ++i) {
-            x[(b * channels + c) * inner + i] *= m;
-          }
+          std::fill_n(m + base, inner, keep);
         }
       }
       break;
     }
-    case DropGranularity::kLayer:
-      if (unit_mask[0] != 1.0f) {
-        for (std::size_t b = b_begin; b < b_end; ++b) {
-          for (std::size_t u = 0; u < per_sample; ++u) {
-            x[b * per_sample + u] = 0.0f;
-          }
-        }
+    case DropGranularity::kLayer: {
+      const bool keep = unit_mask[0] == 1.0f;
+      const std::size_t begin = b_begin * per_sample;
+      const std::size_t count = (b_end - b_begin) * per_sample;
+      if (keep) {
+        std::copy_n(x + begin, count, y + begin);
+      } else {
+        std::fill_n(y + begin, count, 0.0f);
       }
+      std::fill_n(m + begin, count, keep ? 1.0f : 0.0f);
       break;
+    }
   }
 }
 
-std::vector<float> SpinDropLayer::draw_unit_mask(std::size_t units) {
-  if (units > sources_.size() && granularity_ != DropGranularity::kLayer) {
-    throw std::logic_error("SpinDropLayer: " + std::to_string(units) +
-                           " units but only " + std::to_string(sources_.size()) +
-                           " dropout modules");
-  }
-  std::vector<float> unit_mask(units, 1.0f);
+void SpinDropLayer::draw_unit_mask(std::size_t units) {
+  unit_mask_.resize(units);
   for (std::size_t u = 0; u < units; ++u) {
-    // Modules are reusable across units when fewer exist (paper notes the
-    // module can be time-multiplexed); index modulo the pool size.
-    if (sources_[u % sources_.size()]->sample()) {
-      unit_mask[u] = 0.0f;
-    }
+    unit_mask_[u] = sources_[u]->sample() ? 0.0f : 1.0f;
   }
-  return unit_mask;
+}
+
+void SpinDropLayer::forward_pseudo_rows(const nn::Tensor& input, nn::Tensor& out,
+                                        std::size_t units) {
+  const std::size_t batch = input.dim(0);
+  unit_mask_.resize(units);
+  for (std::size_t r = 0; r < batch; ++r) {
+    // Unit u's bit: reseed(mix_seed(row_seed, u)), then one sample() step.
+    const std::uint64_t row_seed = row_seeds_[r];
+    for (std::size_t u = 0; u < units; ++u) {
+      const std::uint64_t z = splitmix_finalize(row_source_state(row_seed, u) + kGolden);
+      unit_mask_[u] = (z >> 11) < pseudo_thresholds_[u] ? 0.0f : 1.0f;
+    }
+    apply_unit_mask(input, out, unit_mask_, r, r + 1);
+  }
+  // Leave the streams where the per-row replay leaves them: reseeded from
+  // the last row, then advanced by one draw for each sampled unit.
+  const std::uint64_t last = row_seeds_.back();
+  for (std::size_t u = 0; u < sources_.size(); ++u) {
+    sources_[u]->reseed(row_source_state(last, u) + (u < units ? kGolden : 0));
+  }
 }
 
 nn::Tensor SpinDropLayer::forward(const nn::Tensor& input, bool training) {
   const bool active = training || mc_mode_;
-  nn::Tensor out = input;
   if (!active) {
     mask_ = nn::Tensor(input.shape(), 1.0f);
-    return out;
+    return input;
   }
   if (training) {
     // Per-sample pseudo masks at the layer's granularity (fast path, the
@@ -224,36 +291,48 @@ nn::Tensor SpinDropLayer::forward(const nn::Tensor& input, bool training) {
         }
       }
     }
+    nn::Tensor out = input;
     for (std::size_t i = 0; i < out.numel(); ++i) {
       out[i] *= mask_[i];
     }
     return out;
   }
   const std::size_t units = unit_count(input.shape());
+  if (units > sources_.size()) {
+    throw std::logic_error("SpinDropLayer: " + std::to_string(units) +
+                           " units but only " + std::to_string(sources_.size()) +
+                           " dropout modules");
+  }
   const std::size_t batch = input.dim(0);
-  mask_ = nn::Tensor(input.shape(), 1.0f);
-  if (!row_seeds_.empty()) {
-    // Fused MC: every row replays the batch-of-one procedure under its own
-    // seed — reseed all modules, then draw one decision per unit.
-    if (batch != row_seeds_.size()) {
-      throw std::invalid_argument("SpinDropLayer: row-seed count does not match batch");
-    }
-    for (std::size_t r = 0; r < batch; ++r) {
-      for (std::size_t u = 0; u < sources_.size(); ++u) {
-        sources_[u]->reseed(nn::mix_seed(row_seeds_[r], u));
-      }
-      const std::vector<float> unit_mask = draw_unit_mask(units);
-      apply_unit_mask(out, unit_mask, r, r + 1);
-      apply_unit_mask(mask_, unit_mask, r, r + 1);
-    }
+  if (mask_.shape() != input.shape()) {
+    mask_ = nn::Tensor(input.shape());  // every element is written below
+  }
+  nn::Tensor out(input.shape());
+  if (row_seeds_.empty()) {
+    // Bayesian inference: one decision per unit per pass, drawn from the
+    // physical (or pseudo) modules and shared across the batch. The mask is
+    // cached element-wise so backward stays correct even in mc mode.
+    draw_unit_mask(units);
+    apply_unit_mask(input, out, unit_mask_, 0, batch);
     return out;
   }
-  // Bayesian inference: one decision per unit per pass, drawn from the
-  // physical (or pseudo) modules and shared across the batch.
-  const std::vector<float> unit_mask = draw_unit_mask(units);
-  apply_unit_mask(out, unit_mask, 0, batch);
-  // Cache an element-wise mask so backward stays correct even in mc mode.
-  apply_unit_mask(mask_, unit_mask, 0, batch);
+  if (batch != row_seeds_.size()) {
+    throw std::invalid_argument("SpinDropLayer: row-seed count does not match batch");
+  }
+  if (!pseudo_thresholds_.empty()) {
+    forward_pseudo_rows(input, out, units);
+    return out;
+  }
+  // Fused MC over MTJ modules: every row replays the batch-of-one procedure
+  // under its own seed — reseed all modules, then draw one decision per
+  // unit (each draw is charged to the energy ledger).
+  for (std::size_t r = 0; r < batch; ++r) {
+    for (std::size_t u = 0; u < sources_.size(); ++u) {
+      sources_[u]->reseed(nn::mix_seed(row_seeds_[r], u));
+    }
+    draw_unit_mask(units);
+    apply_unit_mask(input, out, unit_mask_, r, r + 1);
+  }
   return out;
 }
 

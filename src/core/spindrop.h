@@ -48,11 +48,12 @@ class DropoutSource {
 /// Ideal Bernoulli source (software training path).
 ///
 /// Backed by a splitmix64 counter stream rather than std::mt19937_64: the
-/// Monte-Carlo evaluator reseeds EVERY module before EVERY pass (and the
-/// fused path before every row), so reseed() sits on the hottest loop of
-/// the whole serving runtime. A splitmix64 reseed is a single store where
-/// an mt19937_64 reseed initializes 312 state words — per-module streams
-/// would otherwise dominate the fused forward's runtime.
+/// Monte-Carlo evaluator reseeds every module before every pass, so
+/// reseed() has to be cheap. A splitmix64 reseed is a single store where an
+/// mt19937_64 reseed initializes 312 state words. The stream is also what
+/// lets the fused row-mode forward of SpinDropLayer skip the sources
+/// altogether: a row's bit for unit u is a pure function of the row seed,
+/// u and p (see SpinDropLayer::reseed_rows).
 class PseudoDropoutSource final : public DropoutSource {
  public:
   PseudoDropoutSource(double p, std::uint64_t seed);
@@ -132,12 +133,17 @@ class SpinDropLayer : public nn::Layer {
     return std::make_unique<SpinDropLayer>(*this);
   }
   void reseed(std::uint64_t seed) override;
-  /// Row mode: row r of the next MC forward reseeds every module from
-  /// row_seeds[r] and draws its own unit mask — bit for bit the mask a
-  /// batch-of-one pass after reseed(row_seeds[r]) would draw. Training
-  /// forwards honor row mode too (the data-parallel trainer's contract):
-  /// sample r's pseudo mask comes from the train stream reseeded by
-  /// row_seeds[r], exactly the batch-of-one training draw.
+  /// Row mode: row r of the next MC forward draws its own unit mask, bit
+  /// for bit the mask a batch-of-one pass after reseed(row_seeds[r]) would
+  /// draw. MTJ-backed pools (or mixed ones) replay exactly that per row:
+  /// reseed every module, then sample one decision per unit. An all-pseudo
+  /// pool computes the same bits inline from the row seed (two splitmix64
+  /// steps per unit against a ceil(p·2^53) integer threshold), with no
+  /// virtual call or allocation per row, and afterwards leaves every source
+  /// in the state the replay would. Training forwards honor row mode too
+  /// (the data-parallel trainer's contract): sample r's pseudo mask comes
+  /// from the train stream reseeded by row_seeds[r], exactly the
+  /// batch-of-one training draw.
   void reseed_rows(std::span<const std::uint64_t> row_seeds) override;
   void save_rng_state(std::ostream& out) const override {
     out << train_engine_ << '\n';
@@ -162,19 +168,27 @@ class SpinDropLayer : public nn::Layer {
  private:
   /// Units gated for `shape` (elements, channels or 1).
   [[nodiscard]] std::size_t unit_count(const nn::Shape& shape) const;
-  /// Broadcast a per-unit mask over batch rows [b_begin, b_end) of x.
-  void apply_unit_mask(nn::Tensor& x, const std::vector<float>& unit_mask,
-                       std::size_t b_begin, std::size_t b_end) const;
+  /// Gate batch rows [b_begin, b_end) of `input` by the per-unit mask,
+  /// writing those rows of `out` and of the backward mask in one pass.
+  void apply_unit_mask(const nn::Tensor& input, nn::Tensor& out,
+                       std::span<const float> unit_mask, std::size_t b_begin,
+                       std::size_t b_end);
 
-  /// Draw one per-unit mask with the modules' current streams (the shared
-  /// body of the batch-shared and per-row MC paths).
-  [[nodiscard]] std::vector<float> draw_unit_mask(std::size_t units);
+  /// Draw one per-unit mask into unit_mask_ with the modules' current
+  /// streams (the shared body of the batch-shared and per-row MC paths).
+  void draw_unit_mask(std::size_t units);
+  /// Row-mode MC forward of an all-pseudo pool into `out` (see reseed_rows).
+  void forward_pseudo_rows(const nn::Tensor& input, nn::Tensor& out, std::size_t units);
 
   DropGranularity granularity_;
   std::vector<std::unique_ptr<DropoutSource>> sources_;
+  /// ceil(p·2^53) per source when every source is a PseudoDropoutSource
+  /// (a draw x = z>>11 drops iff x < threshold); empty otherwise.
+  std::vector<std::uint64_t> pseudo_thresholds_;
   std::mt19937_64 train_engine_;
   bool mc_mode_ = false;
   std::vector<std::uint64_t> row_seeds_;  ///< non-empty = row mode
+  std::vector<float> unit_mask_;          ///< scratch: one decision per unit
   nn::Tensor mask_;  ///< element-wise mask cached for backward
 };
 

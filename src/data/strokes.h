@@ -2,7 +2,7 @@
 //
 // The paper evaluates on MNIST-class image benchmarks, which are not
 // available offline; this generator is the documented substitution
-// (DESIGN.md §2). Each of the 10 classes is defined by a fixed set of line
+// (README.md, "Substitutions and ablations"). Each of the 10 classes is defined by a fixed set of line
 // segments on a 16x16 canvas (a stylized digit). Samples are rendered with
 // random affine jitter (translation, rotation, scale), stroke thickness and
 // pixel noise, so the task has genuine intra-class variation: linear models

@@ -8,7 +8,7 @@
 // binary CNN with 20 Monte-Carlo passes); every other method's number then
 // *follows from its architecture census* — no per-method tuning. This is
 // the documented substitution for the authors' circuit-level simulations
-// (DESIGN.md §2): relative comparisons are preserved by construction.
+// (README.md, "Substitutions and ablations"): relative comparisons are preserved by construction.
 #pragma once
 
 #include <cstddef>

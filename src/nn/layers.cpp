@@ -428,6 +428,9 @@ Tensor BatchNorm::forward(const Tensor& input, bool training) {
   std::size_t inner = 0;
   resolve_geometry(input.shape(), outer, inner);
   input_shape_ = input.shape();
+  if (!training) {
+    return infer(input, outer, inner);
+  }
   const std::size_t count = outer * inner;
 
   Tensor out(input.shape());
@@ -435,27 +438,22 @@ Tensor BatchNorm::forward(const Tensor& input, bool training) {
 
   for (std::size_t f = 0; f < features_; ++f) {
     float mean = 0.0f;
-    float var = 0.0f;
-    if (training) {
-      for (std::size_t o = 0; o < outer; ++o) {
-        for (std::size_t i = 0; i < inner; ++i) {
-          mean += input[(o * features_ + f) * inner + i];
-        }
+    for (std::size_t o = 0; o < outer; ++o) {
+      for (std::size_t i = 0; i < inner; ++i) {
+        mean += input[(o * features_ + f) * inner + i];
       }
-      mean /= static_cast<float>(count);
-      for (std::size_t o = 0; o < outer; ++o) {
-        for (std::size_t i = 0; i < inner; ++i) {
-          const float d = input[(o * features_ + f) * inner + i] - mean;
-          var += d * d;
-        }
-      }
-      var /= static_cast<float>(count);
-      running_mean_[f] = (1.0f - momentum_) * running_mean_[f] + momentum_ * mean;
-      running_var_[f] = (1.0f - momentum_) * running_var_[f] + momentum_ * var;
-    } else {
-      mean = running_mean_[f];
-      var = running_var_[f];
     }
+    mean /= static_cast<float>(count);
+    float var = 0.0f;
+    for (std::size_t o = 0; o < outer; ++o) {
+      for (std::size_t i = 0; i < inner; ++i) {
+        const float d = input[(o * features_ + f) * inner + i] - mean;
+        var += d * d;
+      }
+    }
+    var /= static_cast<float>(count);
+    running_mean_[f] = (1.0f - momentum_) * running_mean_[f] + momentum_ * mean;
+    running_var_[f] = (1.0f - momentum_) * running_var_[f] + momentum_ * var;
     const float inv_std = 1.0f / std::sqrt(var + eps_);
     batch_std_[f] = std::sqrt(var + eps_);
     for (std::size_t o = 0; o < outer; ++o) {
@@ -470,9 +468,54 @@ Tensor BatchNorm::forward(const Tensor& input, bool training) {
   return out;
 }
 
+Tensor BatchNorm::infer(const Tensor& input, std::size_t outer, std::size_t inner) {
+  // Inference keeps no backward state (backward() then throws, as
+  // BinaryDense's does).
+  normalized_cache_ = Tensor();
+  std::vector<float> inv_std(features_);
+  for (std::size_t f = 0; f < features_; ++f) {
+    inv_std[f] = 1.0f / std::sqrt(running_var_[f] + eps_);
+  }
+  // Walk the tensor in memory order: the same per-element expressions as
+  // the training path (no FMA contraction in this library), so the result
+  // is bitwise the per-feature loop. Rank 2 (inner == 1) gets its own loop
+  // so that the vectorised dimension is the contiguous feature row.
+  Tensor out(input.shape());
+  const float* x = input.data().data();
+  float* y = out.data().data();
+  const float* mean = running_mean_.data().data();
+  const float* gamma = gamma_.data().data();
+  const float* beta = beta_.data().data();
+  if (inner == 1) {
+    for (std::size_t o = 0; o < outer; ++o) {
+      const float* xr = x + o * features_;
+      float* yr = y + o * features_;
+      for (std::size_t f = 0; f < features_; ++f) {
+        const float norm = (xr[f] - mean[f]) * inv_std[f];
+        yr[f] = gamma[f] * norm + beta[f];
+      }
+    }
+    return out;
+  }
+  for (std::size_t o = 0; o < outer; ++o) {
+    for (std::size_t f = 0; f < features_; ++f) {
+      const float* xr = x + (o * features_ + f) * inner;
+      float* yr = y + (o * features_ + f) * inner;
+      for (std::size_t i = 0; i < inner; ++i) {
+        const float norm = (xr[i] - mean[f]) * inv_std[f];
+        yr[i] = gamma[f] * norm + beta[f];
+      }
+    }
+  }
+  return out;
+}
+
 Tensor BatchNorm::backward(const Tensor& grad_output) {
   std::size_t outer = 0;
   std::size_t inner = 0;
+  if (normalized_cache_.empty()) {
+    throw std::logic_error("BatchNorm: backward before a training-mode forward");
+  }
   resolve_geometry(input_shape_, outer, inner);
   const float count = static_cast<float>(outer * inner);
 

@@ -294,6 +294,8 @@ class BatchNorm : public Layer {
   /// rank-4 NCHW has inner == H*W.
   void resolve_geometry(const Shape& shape, std::size_t& outer,
                         std::size_t& inner) const;
+  /// Inference forward: running statistics, walked in memory order.
+  [[nodiscard]] Tensor infer(const Tensor& input, std::size_t outer, std::size_t inner);
 
   std::size_t features_;
   float momentum_;
@@ -304,7 +306,7 @@ class BatchNorm : public Layer {
   Tensor beta_grad_;
   Tensor running_mean_;
   Tensor running_var_;
-  // Caches for backward.
+  // Caches for backward, written by training forwards only.
   Tensor normalized_cache_;
   Tensor batch_std_;
   Shape input_shape_;

@@ -66,10 +66,10 @@ Trainer::Trainer(nn::Sequential& model, TrainerConfig config)
       config_(std::move(config)),
       optimizer_(model.parameters(), config_.lr, 0.9f, 0.999f, 1e-8f,
                  config_.weight_decay),
-      params_(model.parameters()),
-      state_(model.state_tensors()),
       shuffle_engine_(config_.shuffle_seed),
-      epoch_start_engine_(dump_engine(shuffle_engine_)) {
+      epoch_start_engine_(dump_engine(shuffle_engine_)),
+      params_(model.parameters()),
+      state_(model.state_tensors()) {
   if (config_.batch_size == 0) {
     throw std::invalid_argument("train::Trainer: batch_size must be at least 1");
   }

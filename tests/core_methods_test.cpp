@@ -1,5 +1,12 @@
 // Unit tests for the NeuSpin Bayesian method layers.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +16,7 @@
 #include "core/spindrop.h"
 #include "core/subset_vi.h"
 #include "nn/loss.h"
+#include "nn/model.h"
 #include "test_util.h"
 
 namespace neuspin::core {
@@ -99,6 +107,193 @@ TEST(SpinDrop, ModuleCountReflectsGranularity) {
   auto spatial = make_pseudo_spindrop(DropGranularity::kFeatureMap, 16, 0.2, 9);
   EXPECT_EQ(neuron->module_count(), 128u);
   EXPECT_EQ(spatial->module_count(), 16u);
+}
+
+/// Row r of a stacked tensor as a batch of one.
+nn::Tensor row_of(const nn::Tensor& stacked, std::size_t r) {
+  nn::Shape shape = stacked.shape();
+  shape[0] = 1;
+  const std::size_t per_row = stacked.numel() / stacked.dim(0);
+  nn::Tensor row(shape);
+  std::copy_n(stacked.data().begin() + static_cast<std::ptrdiff_t>(r * per_row), per_row,
+              row.data().begin());
+  return row;
+}
+
+/// Bitwise equality of `expected` with the elements of `actual` starting
+/// at `offset` (signed zeros and NaN payloads included).
+void expect_bits_equal(const nn::Tensor& actual, std::size_t offset,
+                       const nn::Tensor& expected, const std::string& what) {
+  ASSERT_LE(offset + expected.numel(), actual.numel()) << what;
+  for (std::size_t i = 0; i < expected.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(actual[offset + i]),
+              std::bit_cast<std::uint32_t>(expected[i]))
+        << what << " at element " << offset + i;
+  }
+}
+
+/// One row-mode layer configuration: pool size, per-row shape and source kind.
+struct RowModeCase {
+  DropGranularity granularity;
+  std::size_t modules;
+  nn::Shape row_shape;  ///< shape with a leading batch dimension of 1
+  bool spintronic;
+};
+
+std::vector<RowModeCase> row_mode_cases() {
+  std::vector<RowModeCase> cases;
+  for (const bool spintronic : {false, true}) {
+    cases.push_back({DropGranularity::kNeuron, 24, {1, 24}, spintronic});
+    cases.push_back({DropGranularity::kNeuron, 32, {1, 24}, spintronic});  // spare modules
+    cases.push_back({DropGranularity::kNeuron, 18, {1, 2, 3, 3}, spintronic});
+    cases.push_back({DropGranularity::kFeatureMap, 4, {1, 4, 3, 3}, spintronic});
+    cases.push_back({DropGranularity::kFeatureMap, 6, {1, 4, 3, 3}, spintronic});
+    cases.push_back({DropGranularity::kFeatureMap, 5, {1, 5}, spintronic});
+    cases.push_back({DropGranularity::kLayer, 1, {1, 10}, spintronic});
+    cases.push_back({DropGranularity::kLayer, 3, {1, 10}, spintronic});
+  }
+  return cases;
+}
+
+std::unique_ptr<SpinDropLayer> make_row_mode_layer(const RowModeCase& c) {
+  auto layer = c.spintronic
+                   ? make_spintronic_spindrop(c.granularity, c.modules, 0.4, 2.0, 21)
+                   : make_pseudo_spindrop(c.granularity, c.modules, 0.4, 21);
+  layer->enable_mc(true);
+  return layer;
+}
+
+std::string describe(const RowModeCase& c) {
+  return "granularity " + std::to_string(static_cast<int>(c.granularity)) + ", " +
+         std::to_string(c.modules) + " modules, " + nn::shape_to_string(c.row_shape) +
+         (c.spintronic ? ", MTJ sources" : ", pseudo sources");
+}
+
+// The fused MC forward stacks the rows of many requests and gives each
+// row its own seed: every row must come out bit for bit as a batch-of-one
+// MC pass after reseed(row_seed) — outputs (negative inputs included, so
+// the sign of a dropped zero counts) and the backward mask alike.
+TEST(SpinDrop, RowModeMatchesPerRowReseed) {
+  constexpr std::size_t kRows = 9;
+  std::vector<std::uint64_t> seeds(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    seeds[r] = nn::mix_seed(0x5eed, r);
+  }
+  for (const RowModeCase& c : row_mode_cases()) {
+    SCOPED_TRACE(describe(c));
+    auto layer = make_row_mode_layer(c);
+    SpinDropLayer reference(*layer);
+    nn::Shape shape = c.row_shape;
+    shape[0] = kRows;
+    std::mt19937_64 engine(3);
+    const nn::Tensor x = nn::Tensor::uniform(shape, -1.0f, 1.0f, engine);
+    const nn::Tensor g = nn::Tensor::uniform(shape, -1.0f, 1.0f, engine);
+
+    layer->reseed_rows(seeds);
+    const nn::Tensor y = layer->forward(x, false);
+    const nn::Tensor gx = layer->backward(g);
+
+    const std::size_t per_row = x.numel() / kRows;
+    std::size_t dropped = 0;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      reference.reseed(seeds[r]);
+      const nn::Tensor y_r = reference.forward(row_of(x, r), false);
+      const nn::Tensor gx_r = reference.backward(row_of(g, r));
+      expect_bits_equal(y, r * per_row, y_r, "row " + std::to_string(r) + " output");
+      expect_bits_equal(gx, r * per_row, gx_r, "row " + std::to_string(r) + " grad");
+      dropped += static_cast<std::size_t>(
+          std::count(y_r.data().begin(), y_r.data().end(), 0.0f));
+    }
+    EXPECT_GT(dropped, 0u) << "p = 0.4 must drop something";
+  }
+}
+
+// After a row-mode forward every dropout stream must sit where the per-row
+// replay (reseed all modules from the last row's seed, one draw per gated
+// unit) leaves it, so the next batch-shared MC forward draws the same mask.
+TEST(SpinDrop, RowModeLeavesStreamsWhereReplayLeavesThem) {
+  constexpr std::size_t kRows = 5;
+  std::vector<std::uint64_t> seeds(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    seeds[r] = nn::mix_seed(0xa11, r);
+  }
+  for (const RowModeCase& c : row_mode_cases()) {
+    SCOPED_TRACE(describe(c));
+    auto layer = make_row_mode_layer(c);
+    SpinDropLayer reference(*layer);
+    nn::Shape shape = c.row_shape;
+    shape[0] = kRows;
+    std::mt19937_64 engine(4);
+    const nn::Tensor x = nn::Tensor::uniform(shape, -1.0f, 1.0f, engine);
+
+    layer->reseed_rows(seeds);
+    (void)layer->forward(x, false);
+    reference.reseed(seeds.back());
+    (void)reference.forward(row_of(x, kRows - 1), false);
+
+    layer->reseed_rows(std::span<const std::uint64_t>());
+    for (int pass = 0; pass < 3; ++pass) {
+      expect_bits_equal(layer->forward(x, false), 0, reference.forward(x, false),
+                        "unseeded pass " + std::to_string(pass));
+    }
+  }
+}
+
+// ------------------------------------------------------------ BatchNorm ----
+
+/// The per-feature inference loop BatchNorm has always computed.
+nn::Tensor per_feature_batchnorm(nn::BatchNorm& bn, const nn::Tensor& x, float eps) {
+  const std::size_t features = bn.features();
+  const std::size_t outer = x.dim(0);
+  const std::size_t inner = x.numel() / (outer * features);
+  nn::Tensor out(x.shape());
+  for (std::size_t f = 0; f < features; ++f) {
+    const float mean = bn.running_mean()[f];
+    const float var = bn.running_var()[f];
+    const float inv_std = 1.0f / std::sqrt(var + eps);
+    for (std::size_t o = 0; o < outer; ++o) {
+      for (std::size_t i = 0; i < inner; ++i) {
+        const std::size_t idx = (o * features + f) * inner + i;
+        const float norm = (x[idx] - mean) * inv_std;
+        out[idx] = bn.gamma()[f] * norm + bn.beta()[f];
+      }
+    }
+  }
+  return out;
+}
+
+TEST(BatchNormInference, MatchesPerFeatureLoopBitwise) {
+  constexpr std::size_t kFeatures = 13;
+  constexpr float kEps = 1e-5f;
+  for (const nn::Shape& shape : {nn::Shape{7, kFeatures}, nn::Shape{3, kFeatures, 4, 5}}) {
+    SCOPED_TRACE(nn::shape_to_string(shape));
+    nn::BatchNorm bn(kFeatures, 0.3f, kEps);
+    std::mt19937_64 engine(11);
+    // Non-trivial running statistics and affine parameters.
+    for (int step = 0; step < 3; ++step) {
+      (void)bn.forward(nn::Tensor::uniform(shape, -2.0f, 3.0f, engine), true);
+    }
+    bn.gamma() = nn::Tensor::uniform({kFeatures}, 0.5f, 1.5f, engine);
+    bn.beta() = nn::Tensor::uniform({kFeatures}, -0.5f, 0.5f, engine);
+
+    const nn::Tensor x = nn::Tensor::uniform(shape, -3.0f, 3.0f, engine);
+    const nn::Tensor expected = per_feature_batchnorm(bn, x, kEps);
+    expect_bits_equal(bn.forward(x, false), 0, expected, "inference output");
+  }
+}
+
+TEST(BatchNormInference, BackwardAfterInferenceForwardThrows) {
+  nn::BatchNorm bn(4);
+  const nn::Tensor x({2, 4}, 1.0f);
+  const nn::Tensor g({2, 4}, 1.0f);
+  EXPECT_THROW((void)bn.backward(g), std::logic_error) << "before any forward";
+  (void)bn.forward(x, false);
+  EXPECT_THROW((void)bn.backward(g), std::logic_error);
+  (void)bn.forward(x, true);
+  EXPECT_NO_THROW((void)bn.backward(g));
+  (void)bn.forward(x, false);
+  EXPECT_THROW((void)bn.backward(g), std::logic_error)
+      << "an inference forward drops the training caches";
 }
 
 // ------------------------------------------------------------ ScaleDrop ----

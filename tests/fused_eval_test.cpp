@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/bayesian.h"
@@ -28,11 +30,16 @@ nn::Dataset tiny_dataset(std::uint64_t seed, std::size_t per_class = 4) {
   return data::standardize_per_sample(data::make_stroke_digits_flat(sc, seed));
 }
 
-core::BuiltModel build_model(core::Method method, bool hw_noise) {
+/// `hw_variation` > 0 backs SpinDrop with variation-shifted MTJ dropout
+/// sources (the per-row replay path) instead of pseudo sources (the inline
+/// row-mode draw).
+core::BuiltModel build_model(core::Method method, bool hw_noise,
+                             double hw_variation = 0.0) {
   core::ModelConfig mc;
   mc.method = method;
   mc.seed = 7;
   mc.dropout_p = 0.2;
+  mc.hw_variation = hw_variation;
   if (hw_noise) {
     mc.hw.enabled = true;
     mc.hw.quant_levels = 64;
@@ -102,19 +109,28 @@ void expect_bitwise_equal(const core::Prediction& fused,
 
 // ------------------------------------------------- the fused == unfused ----
 
+// GoogleTest prints a parameter without a PrintTo as its raw bytes, and
+// CTest names each case after that print. The six bytes after `hw_noise` are
+// therefore an explicit zeroed field rather than padding, whose indeterminate
+// contents would make the case names change from build to build.
 struct FusedCase {
+  FusedCase(core::Method method_, bool hw_noise_, std::size_t batch_,
+            std::size_t mc_samples_, std::size_t workers_)
+      : method(method_), hw_noise(hw_noise_), batch(batch_), mc_samples(mc_samples_),
+        workers(workers_) {}
+
   core::Method method;
   bool hw_noise;
+  std::uint8_t zero_fill[6] = {};
   std::size_t batch;
   std::size_t mc_samples;
   std::size_t workers;
 };
+static_assert(std::has_unique_object_representations_v<FusedCase>,
+              "FusedCase must have no padding bytes");
 
-class FusedMatchesUnfused : public ::testing::TestWithParam<FusedCase> {};
-
-TEST_P(FusedMatchesUnfused, BitwiseAcrossBatchSamplesAndWorkers) {
-  const FusedCase c = GetParam();
-  const core::BuiltModel model = build_model(c.method, c.hw_noise);
+void expect_fused_matches_unfused(const FusedCase& c, double hw_variation = 0.0) {
+  const core::BuiltModel model = build_model(c.method, c.hw_noise, hw_variation);
   const nn::Dataset data = tiny_dataset(31);
   ASSERT_GE(data.size(), c.batch);
   const nn::Tensor inputs = data.batch(0, c.batch).first;
@@ -153,6 +169,12 @@ TEST_P(FusedMatchesUnfused, BitwiseAcrossBatchSamplesAndWorkers) {
   }
 }
 
+class FusedMatchesUnfused : public ::testing::TestWithParam<FusedCase> {};
+
+TEST_P(FusedMatchesUnfused, BitwiseAcrossBatchSamplesAndWorkers) {
+  expect_fused_matches_unfused(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     MethodsAndShapes, FusedMatchesUnfused,
     ::testing::Values(
@@ -166,6 +188,24 @@ INSTANTIATE_TEST_SUITE_P(
         FusedCase{core::Method::kAffineDropout, false, 8, 5, 2},
         FusedCase{core::Method::kSubsetVi, false, 6, 7, 3},
         FusedCase{core::Method::kSpinBayes, false, 10, 4, 2}));
+
+// SpinDrop backed by MTJ modules keeps the per-row replay (reseed every
+// module, sample each unit, charge the ledger) while pseudo pools draw
+// inline; the MTJ path has to hold the same contract at B > 1, T > 1 and
+// more than one worker.
+TEST(FusedMtjSources, BitwiseAcrossBatchSamplesAndWorkers) {
+  for (const FusedCase& c : {FusedCase{core::Method::kSpinDrop, false, 7, 5, 3},
+                             FusedCase{core::Method::kSpinDrop, true, 4, 6, 2},
+                             FusedCase{core::Method::kSpatialSpinDrop, false, 6, 4, 2}}) {
+    SCOPED_TRACE("method " + std::to_string(static_cast<int>(c.method)) + ", B=" +
+                 std::to_string(c.batch) + ", T=" + std::to_string(c.mc_samples) +
+                 ", workers=" + std::to_string(c.workers));
+    expect_fused_matches_unfused(c, /*hw_variation=*/2.0);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
 
 // A fused batch must also be insensitive to its companions: serving the
 // same row inside different stacks may never change its prediction.
