@@ -1,6 +1,7 @@
 #include "core/models.h"
 
 #include <stdexcept>
+#include <typeinfo>
 
 #include "nn/binarize.h"
 #include "nn/loss.h"
@@ -198,6 +199,23 @@ void BuiltModel::set_binary_algo(nn::BinaryAlgo algo) {
       l->set_binary_algo(algo);
     }
   }
+}
+
+std::size_t deterministic_head_length(const nn::Sequential& net) {
+  std::size_t head = 0;
+  for (; head < net.size(); ++head) {
+    const std::type_info& type = typeid(net.layer(head));
+    const bool deterministic =
+        type == typeid(nn::BinaryDense) || type == typeid(nn::BinaryConv2d) ||
+        type == typeid(nn::Dense) || type == typeid(nn::Conv2d) ||
+        type == typeid(nn::BatchNorm) || type == typeid(nn::SignActivation) ||
+        type == typeid(nn::MaxPool2d) || type == typeid(nn::Flatten) ||
+        type == typeid(nn::ReLU) || type == typeid(nn::HardTanh);
+    if (!deterministic) {
+      break;
+    }
+  }
+  return head;
 }
 
 BuiltModel make_binary_mlp(const ModelConfig& config, std::size_t inputs,

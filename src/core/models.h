@@ -94,6 +94,15 @@ struct BuiltModel {
   void set_binary_algo(nn::BinaryAlgo algo);
 };
 
+/// Length of the deterministic head of `net`: the number of leading layers
+/// whose inference forward reads only its input and its weights, so that
+/// it returns the same tensor on every Monte-Carlo pass. Counted from an
+/// allowlist of exact types (BinaryDense, BinaryConv2d, Dense, Conv2d,
+/// BatchNorm, Sign, MaxPool2d, Flatten, ReLU, HardTanh); any other layer,
+/// subclasses of those included, ends the head. The offline evaluator
+/// runs layers [0, head) once per batch and each pass from the head on.
+[[nodiscard]] std::size_t deterministic_head_length(const nn::Sequential& net);
+
 /// Binary MLP: in -> hidden... -> classes on flattened inputs.
 [[nodiscard]] BuiltModel make_binary_mlp(const ModelConfig& config, std::size_t inputs,
                                          const std::vector<std::size_t>& hidden,

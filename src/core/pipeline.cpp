@@ -54,6 +54,11 @@ std::size_t resolve_workers(std::size_t requested, std::size_t parallel_cap) {
 /// never mutated — MC mode and reseeding happen on the clones only, so
 /// the model's RNG state after evaluation is independent of the thread
 /// count, and an exception mid-construction leaves nothing toggled.
+///
+/// The network's deterministic head (deterministic_head_length) returns
+/// the same tensor on every pass, so each batch runs it once; each pass
+/// then reseeds and runs only the layers from the first stochastic one on.
+/// Splitting the forward at the head changes no bit of any pass.
 class PooledEvaluator {
  public:
   /// `batches_hint` is the largest batch count this evaluator will be asked
@@ -63,7 +68,8 @@ class PooledEvaluator {
                   std::size_t batches_hint)
       : options_(options),
         workers_(resolve_workers(options.threads,
-                                 std::max(options.mc_samples, batches_hint))) {
+                                 std::max(options.mc_samples, batches_hint))),
+        head_(deterministic_head_length(model.net)) {
     if (options.mc_samples == 0) {
       throw std::invalid_argument("evaluate: need at least one MC sample");
     }
@@ -74,10 +80,12 @@ class PooledEvaluator {
       replicas_.back().enable_mc(true);
     }
     for (auto& replica : replicas_) {
-      forwards_.push_back([&replica](const nn::Tensor& x, std::uint64_t pass_seed) {
-        replica.reseed_stochastic(pass_seed);
-        return replica.stochastic_logits(x);
-      });
+      forwards_.push_back(
+          [&replica, head = head_](const nn::Tensor& x, std::uint64_t pass_seed) {
+            replica.reseed_stochastic(pass_seed);
+            return replica.net.forward_range(x, head, replica.net.size(),
+                                             /*training=*/false);
+          });
     }
   }
 
@@ -88,10 +96,11 @@ class PooledEvaluator {
   /// so distinct batches draw distinct (but reproducible) mask sets.
   [[nodiscard]] Prediction predict(const nn::Tensor& inputs, std::uint64_t batch_seed) {
     const McPredictor predictor(options_.mc_samples, batch_seed);
+    const nn::Tensor head = run_head(replicas_.front(), inputs);
     if (workers_ <= 1) {
-      return predictor.predict(inputs, forwards_.front());
+      return predictor.predict(head, forwards_.front());
     }
-    return predictor.predict(inputs, forwards_, ThreadPool::shared());
+    return predictor.predict(head, forwards_, ThreadPool::shared());
   }
 
   /// Predict a whole run of batches; batch i uses the stream seed
@@ -100,9 +109,9 @@ class PooledEvaluator {
   /// Two fan-out strategies cover the pool:
   ///  * pass-parallel (few large batches, many MC passes): batches run in
   ///    order, each one's T passes split across every replica;
-  ///  * batch-parallel (many batches, few MC passes — the ROADMAP case):
-  ///    contiguous batch chunks run concurrently, one replica per chunk,
-  ///    each batch's passes serial on its chunk's replica.
+  ///  * batch-parallel (many batches, few MC passes): contiguous batch
+  ///    chunks run concurrently, one replica per chunk, each batch's head
+  ///    and passes serial on its chunk's replica.
   /// Either way a batch's prediction is the same pure function of
   /// (weights, inputs, mc_samples, batch seed), and the reduction order is
   /// fixed by batch index — so results are bitwise identical for any
@@ -140,7 +149,7 @@ class PooledEvaluator {
           for (std::size_t i = begin; i < end; ++i) {
             const McPredictor predictor(options_.mc_samples,
                                         nn::mix_seed(base_seed, i));
-            out[i] = predictor.predict(batches[i], forward);
+            out[i] = predictor.predict(run_head(replicas_[chunk], batches[i]), forward);
             discard_member_probs(out[i]);
           }
         });
@@ -148,6 +157,12 @@ class PooledEvaluator {
   }
 
  private:
+  /// Layers [0, head_) of `replica` on `inputs`: the part of every pass
+  /// that no pass seed changes.
+  [[nodiscard]] nn::Tensor run_head(BuiltModel& replica, const nn::Tensor& inputs) const {
+    return replica.net.forward_range(inputs, 0, head_, /*training=*/false);
+  }
+
   /// The evaluation entry points only consume mean_probs/entropy; dropping
   /// the T per-pass tensors right after each batch's reduction keeps peak
   /// memory at O(T x batch) instead of O(T x dataset).
@@ -158,6 +173,7 @@ class PooledEvaluator {
 
   EvalOptions options_;
   std::size_t workers_;
+  std::size_t head_;  ///< deterministic head length of the network
   std::vector<BuiltModel> replicas_;
   std::vector<McPredictor::SeededForward> forwards_;
 };

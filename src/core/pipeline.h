@@ -15,6 +15,13 @@
 // per-pass seed, and the reduction runs in (batch, pass) order — so
 // results are a pure function of (model, data, mc_samples, seed),
 // identical for any thread count and fan-out strategy including serial.
+//
+// Shared head: the layers in front of the network's first stochastic
+// layer (core::deterministic_head_length) give the same tensor on every
+// pass, so each batch runs them once, on the replica that runs the batch,
+// and each of its T passes reseeds and runs only the layers from the first
+// stochastic one on. Every pass is bit for bit the full forward it
+// replaces.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +86,10 @@ struct EvalResult {
 };
 
 /// Bayesian evaluation with EvalOptions::mc_samples stochastic passes per
-/// batch, fanned across the shared worker pool.
+/// batch, fanned across the shared worker pool. Each batch runs the
+/// network's deterministic head once and every pass from the first
+/// stochastic layer on; the result is bitwise that of T full forwards
+/// (McPredictor over a reseed + Sequential::forward per pass).
 [[nodiscard]] EvalResult evaluate(const BuiltModel& model, const nn::Dataset& test,
                                   const EvalOptions& options);
 

@@ -266,39 +266,74 @@ std::vector<ParamRef> Conv2d::parameters() {
 
 // ------------------------------------------------------------ MaxPool2d ----
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
+namespace {
+
+/// One step of the 2x2 window scan: take `v` only when it is strictly
+/// greater than `best`. Ties keep the earlier value, a NaN candidate never
+/// wins and a NaN seed is never replaced. Written as a select so that it
+/// compiles to a max instruction instead of a data-dependent branch.
+inline float take_greater(float best, float v) { return v > best ? v : best; }
+
+}  // namespace
+
+Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   if (input.rank() != 4) {
     throw std::invalid_argument("MaxPool2d: expected NCHW, got " +
                                 shape_to_string(input.shape()));
   }
-  input_shape_ = input.shape();
-  const std::size_t n = input.dim(0);
-  const std::size_t c = input.dim(1);
+  const std::size_t planes = input.dim(0) * input.dim(1);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
   const std::size_t oh = h / 2;
   const std::size_t ow = w / 2;
-  Tensor out({n, c, oh, ow});
-  argmax_.assign(out.numel(), 0);
-  std::size_t flat = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
+  Tensor out({input.dim(0), input.dim(1), oh, ow});
+  const float* in = input.data().data();
+  float* o = out.data().data();
+  // Every window is scanned top-left (the seed), top-right, bottom-left,
+  // bottom-right, so both modes select the same value; an odd last row or
+  // column is dropped (floor).
+  if (!training) {
+    // Inference keeps no backward state (backward() then throws, as
+    // BatchNorm's does) and records no argmax.
+    input_shape_.clear();
+    argmax_.clear();
+    for (std::size_t p = 0; p < planes; ++p) {
       for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x, ++flat) {
-          float best = input.at4(b, ch, 2 * y, 2 * x);
-          std::size_t best_idx = ((b * c + ch) * h + 2 * y) * w + 2 * x;
-          for (std::size_t dy = 0; dy < 2; ++dy) {
-            for (std::size_t dx = 0; dx < 2; ++dx) {
-              const float v = input.at4(b, ch, 2 * y + dy, 2 * x + dx);
-              if (v > best) {
-                best = v;
-                best_idx = ((b * c + ch) * h + 2 * y + dy) * w + 2 * x + dx;
-              }
-            }
-          }
-          out.at4(b, ch, y, x) = best;
-          argmax_[flat] = best_idx;
+        const float* r0 = in + (p * h + 2 * y) * w;
+        const float* r1 = r0 + w;
+        float* orow = o + (p * oh + y) * ow;
+        for (std::size_t x = 0; x < ow; ++x) {
+          float best = r0[2 * x];
+          best = take_greater(best, r0[2 * x + 1]);
+          best = take_greater(best, r1[2 * x]);
+          orow[x] = take_greater(best, r1[2 * x + 1]);
         }
+      }
+    }
+    return out;
+  }
+  input_shape_ = input.shape();
+  argmax_.resize(out.numel());
+  std::size_t* arg = argmax_.data();
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      const std::size_t row0 = (p * h + 2 * y) * w;
+      const float* r0 = in + row0;
+      const float* r1 = r0 + w;
+      const std::size_t flat = (p * oh + y) * ow;
+      for (std::size_t x = 0; x < ow; ++x) {
+        float best = r0[2 * x];
+        std::size_t best_idx = row0 + 2 * x;
+        const auto step = [&best, &best_idx](float v, std::size_t idx) {
+          const bool greater = v > best;
+          best = greater ? v : best;
+          best_idx = greater ? idx : best_idx;
+        };
+        step(r0[2 * x + 1], row0 + 2 * x + 1);
+        step(r1[2 * x], row0 + w + 2 * x);
+        step(r1[2 * x + 1], row0 + w + 2 * x + 1);
+        o[flat + x] = best;
+        arg[flat + x] = best_idx;
       }
     }
   }
@@ -306,6 +341,9 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
+  if (input_shape_.size() != 4) {
+    throw std::logic_error("MaxPool2d: backward before a training-mode forward");
+  }
   Tensor grad_input(input_shape_);
   for (std::size_t i = 0; i < grad_output.numel(); ++i) {
     grad_input[argmax_[i]] += grad_output[i];

@@ -189,7 +189,9 @@ class Conv2d : public Layer {
   Shape input_shape_;   ///< empty unless the last forward was training-mode
 };
 
-/// 2x2 max pooling with stride 2 over NCHW tensors.
+/// 2x2 max pooling with stride 2 over NCHW tensors. Only training-mode
+/// forwards record the argmax routing; backward() after an inference-mode
+/// forward, or before any forward, throws std::logic_error.
 class MaxPool2d : public Layer {
  public:
   MaxPool2d() = default;
@@ -202,7 +204,7 @@ class MaxPool2d : public Layer {
   }
 
  private:
-  Shape input_shape_;
+  Shape input_shape_;                ///< empty unless the last forward trained
   std::vector<std::size_t> argmax_;  ///< flat input index of each pooled max
 };
 

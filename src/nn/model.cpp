@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "train/trainer.h"
 
@@ -60,9 +61,22 @@ std::pair<Tensor, std::vector<std::size_t>> Dataset::batch(
 }
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
-  Tensor x = input;
-  for (auto& layer : layers_) {
-    x = layer->forward(x, training);
+  return forward_range(input, 0, layers_.size(), training);
+}
+
+Tensor Sequential::forward_range(const Tensor& input, std::size_t begin,
+                                 std::size_t end, bool training) {
+  if (begin > end || end > layers_.size()) {
+    throw std::out_of_range("Sequential::forward_range: bad layer range [" +
+                            std::to_string(begin) + ", " + std::to_string(end) +
+                            ") of " + std::to_string(layers_.size()));
+  }
+  if (begin == end) {
+    return input;
+  }
+  Tensor x = layers_[begin]->forward(input, training);
+  for (std::size_t i = begin + 1; i < end; ++i) {
+    x = layers_[i]->forward(x, training);
   }
   return x;
 }

@@ -63,7 +63,15 @@ class Sequential {
     layers_.at(i) = std::move(layer);
   }
 
+  /// Run every layer: forward_range(input, 0, size(), training).
   [[nodiscard]] Tensor forward(const Tensor& input, bool training);
+  /// Run layers [begin, end) only, feeding `input` to layer `begin`. Lets
+  /// the Monte-Carlo evaluator run a deterministic prefix once and each
+  /// stochastic pass from the first stochastic layer on. An empty range
+  /// returns a copy of `input`; throws std::out_of_range unless
+  /// begin <= end <= size().
+  [[nodiscard]] Tensor forward_range(const Tensor& input, std::size_t begin,
+                                     std::size_t end, bool training);
   /// Back-propagate through the whole stack; returns dL/d(input).
   [[nodiscard]] Tensor backward(const Tensor& grad_output);
 

@@ -1,6 +1,13 @@
 // Gradient-checked unit tests for the layer zoo.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "nn/binarize.h"
 #include "nn/layers.h"
 #include "nn/lstm.h"
@@ -204,6 +211,161 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 2.0f);
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
+}
+
+/// The 2x2 pooling loop as it stood before the branch-free rewrite, kept
+/// as the reference for pooled values and argmax routing.
+struct ReferencePool {
+  Tensor out;
+  std::vector<std::size_t> argmax;
+};
+
+ReferencePool reference_maxpool(const Tensor& input) {
+  const std::size_t n = input.dim(0);
+  const std::size_t c = input.dim(1);
+  const std::size_t h = input.dim(2);
+  const std::size_t w = input.dim(3);
+  const std::size_t oh = h / 2;
+  const std::size_t ow = w / 2;
+  ReferencePool ref{Tensor({n, c, oh, ow}), std::vector<std::size_t>(n * c * oh * ow)};
+  std::size_t flat = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      for (std::size_t y = 0; y < oh; ++y) {
+        for (std::size_t x = 0; x < ow; ++x, ++flat) {
+          float best = input.at4(b, ch, 2 * y, 2 * x);
+          std::size_t best_idx = ((b * c + ch) * h + 2 * y) * w + 2 * x;
+          for (std::size_t dy = 0; dy < 2; ++dy) {
+            for (std::size_t dx = 0; dx < 2; ++dx) {
+              const float v = input.at4(b, ch, 2 * y + dy, 2 * x + dx);
+              if (v > best) {
+                best = v;
+                best_idx = ((b * c + ch) * h + 2 * y + dy) * w + 2 * x + dx;
+              }
+            }
+          }
+          ref.out.at4(b, ch, y, x) = best;
+          ref.argmax[flat] = best_idx;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+/// Inputs drawn from a handful of values, NaN and both zeros included, so
+/// most windows hold ties.
+Tensor tie_heavy_input(const Shape& shape, std::uint64_t seed) {
+  const std::vector<float> values = {-1.0f, -0.0f, 0.0f, 0.5f, 1.0f,
+                                     std::numeric_limits<float>::quiet_NaN()};
+  std::mt19937_64 engine(seed);
+  Tensor x(shape);
+  for (float& v : x.data()) {
+    v = values[engine() % values.size()];
+  }
+  return x;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << what << " differs at flat index " << i;
+  }
+}
+
+// Even and odd H/W (odd rows and columns are dropped by the floor).
+const std::vector<Shape> kPoolShapes = {
+    {2, 3, 4, 6}, {1, 2, 5, 7}, {3, 1, 3, 3}, {1, 1, 2, 9}};
+
+/// Windows whose maximum is a -0/+0 tie at every pair of scan positions,
+/// in both orders, with -1 elsewhere: the earlier position must win, so
+/// the result's sign bit shows which compare order ran.
+Tensor signed_zero_tie_windows() {
+  std::vector<float> values;
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = i + 1; j < 4; ++j) {
+      for (bool negative_first : {true, false}) {
+        float window[4] = {-1.0f, -1.0f, -1.0f, -1.0f};
+        window[i] = negative_first ? -0.0f : 0.0f;
+        window[j] = negative_first ? 0.0f : -0.0f;
+        values.insert(values.end(), window, window + 4);
+      }
+    }
+  }
+  const std::size_t windows = values.size() / 4;
+  return Tensor({1, windows, 2, 2}, std::move(values));
+}
+
+TEST(MaxPool2d, InferenceMatchesTrainingForwardBitwise) {
+  // Hand-made windows: a NaN seed is never replaced, a NaN candidate never
+  // wins, -0 and +0 tie (the earlier one stays), equal maxima keep the first.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor windows({1, 4, 2, 2}, std::vector<float>{nan, 1, 2, 3,     //
+                                                        1, nan, 0, nan,   //
+                                                        -0.0f, 0.0f, 0.0f, -0.0f,  //
+                                                        2, 5, 5, 1});
+  MaxPool2d training_pool;
+  MaxPool2d inference_pool;
+  const Tensor inferred = inference_pool.forward(windows, false);
+  expect_same_bits(inferred, training_pool.forward(windows, true), "hand-made windows");
+  expect_same_bits(inferred, reference_maxpool(windows).out, "hand-made windows");
+  EXPECT_TRUE(std::isnan(inferred[0]));
+  EXPECT_EQ(inferred[1], 1.0f);
+  EXPECT_TRUE(std::signbit(inferred[2])) << "the -0 seed must survive a +0 tie";
+  EXPECT_EQ(inferred[3], 5.0f);
+
+  const Tensor ties = signed_zero_tie_windows();
+  const Tensor tied = inference_pool.forward(ties, false);
+  expect_same_bits(tied, training_pool.forward(ties, true), "signed-zero ties");
+  expect_same_bits(tied, reference_maxpool(ties).out, "signed-zero ties");
+  for (std::size_t k = 0; k < tied.numel(); ++k) {
+    EXPECT_EQ(std::signbit(tied[k]), k % 2 == 0) << "tie window " << k;
+  }
+
+  for (std::size_t k = 0; k < kPoolShapes.size(); ++k) {
+    SCOPED_TRACE(shape_to_string(kPoolShapes[k]));
+    const Tensor x = tie_heavy_input(kPoolShapes[k], 100 + k);
+    const Tensor y = inference_pool.forward(x, false);
+    expect_same_bits(y, training_pool.forward(x, true), "inference vs training");
+    expect_same_bits(y, reference_maxpool(x).out, "inference vs reference");
+  }
+}
+
+TEST(MaxPool2d, TrainingForwardMatchesReferenceLoop) {
+  std::mt19937_64 engine(58);
+  std::vector<Tensor> inputs = {signed_zero_tie_windows()};
+  for (std::size_t k = 0; k < kPoolShapes.size(); ++k) {
+    inputs.push_back(tie_heavy_input(kPoolShapes[k], 200 + k));
+    inputs.push_back(Tensor::randn(kPoolShapes[k], 1.0f, engine));
+  }
+  for (const Tensor& x : inputs) {
+    SCOPED_TRACE(shape_to_string(x.shape()));
+    const ReferencePool ref = reference_maxpool(x);
+    MaxPool2d pool;
+    expect_same_bits(pool.forward(x, true), ref.out, "pooled values");
+    // Backward routes each gradient to the reference argmax.
+    const Tensor g = Tensor::randn(ref.out.shape(), 1.0f, engine);
+    Tensor expected(x.shape());
+    for (std::size_t i = 0; i < g.numel(); ++i) {
+      expected[ref.argmax[i]] += g[i];
+    }
+    expect_same_bits(pool.backward(g), expected, "input gradient");
+  }
+}
+
+TEST(MaxPool2d, BackwardAfterInferenceForwardThrows) {
+  MaxPool2d pool;
+  const Tensor x({1, 2, 4, 4}, 1.0f);
+  const Tensor g({1, 2, 2, 2}, 1.0f);
+  EXPECT_THROW((void)pool.backward(g), std::logic_error) << "before any forward";
+  (void)pool.forward(x, false);
+  EXPECT_THROW((void)pool.backward(g), std::logic_error);
+  (void)pool.forward(x, true);
+  EXPECT_NO_THROW((void)pool.backward(g));
+  (void)pool.forward(x, false);
+  EXPECT_THROW((void)pool.backward(g), std::logic_error)
+      << "an inference forward drops the argmax routing";
 }
 
 TEST(Flatten, RoundTrip) {
