@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -215,12 +216,11 @@ void bench_conv() {
 
 /// Binary-layer inference: the bit-packed XNOR/popcount GEMM vs. the
 /// float-materialized product, on Table-I dense shapes with sign (±1)
-/// activations. Three columns:
-///   remat  — sign(W)/alpha recomputed every forward (the pre-packing
-///            inference path);
-///   float  — cached sign(W)/alpha, float GEMM (BinaryAlgo::kFloat);
-///   bgemm  — packed weights + XNOR/popcount kernel (BinaryAlgo::kAuto).
-/// All three produce bitwise identical outputs (pinned by bitpack_test);
+/// activations. Two columns:
+///   remat  — sign(W)/alpha recomputed every forward, float GEMM (the
+///            training-mode forward, the float reference);
+///   bgemm  — the inference forward: packed weights + XNOR/popcount kernel.
+/// Both produce bitwise identical outputs (pinned by bitpack_test);
 /// GIOP/s counts 2*m*k*n signed ops.
 void bench_binary_dense() {
   const std::vector<GemmShape> shapes = {
@@ -233,8 +233,8 @@ void bench_binary_dense() {
   };
   std::printf("\nBinaryDense inference (±1 activations): float-materialized vs\n"
               "bit-packed XNOR/popcount GEMM (outputs bitwise identical)\n");
-  std::printf("%-20s %11s %11s %11s %9s %9s\n", "shape", "remat GI/s",
-              "float GI/s", "bgemm GI/s", "vs remat", "vs float");
+  std::printf("%-20s %11s %11s %9s\n", "shape", "remat GI/s", "bgemm GI/s",
+              "speedup");
   std::mt19937_64 engine(3);
   for (const GemmShape& s : shapes) {
     nn::BinaryDense layer(s.k, s.n, engine);
@@ -255,24 +255,21 @@ void bench_binary_dense() {
         },
         9);
 
-    layer.set_binary_algo(nn::BinaryAlgo::kFloat);
-    const double t_float =
-        best_seconds([&] { (void)layer.forward(x, false); }, 9);
-    layer.set_binary_algo(nn::BinaryAlgo::kAuto);
     const double t_bgemm =
         best_seconds([&] { (void)layer.forward(x, false); }, 9);
 
-    std::printf("%-20s %11.2f %11.2f %11.2f %8.2fx %8.2fx\n", s.label,
-                iops / t_remat * 1e-9, iops / t_float * 1e-9,
-                iops / t_bgemm * 1e-9, t_remat / t_bgemm, t_float / t_bgemm);
+    std::printf("%-20s %11.2f %11.2f %8.2fx\n", s.label, iops / t_remat * 1e-9,
+                iops / t_bgemm * 1e-9, t_remat / t_bgemm);
   }
 }
 
-/// BinaryConv2d inference on the small-CNN geometries: im2col + float GEMM
-/// vs. im2col + bgemm (the patches sign-pack once per batch). conv1's K is
-/// only 9 taps (one ragged lane) — below the kAuto packing floor precisely
-/// because it measures slower packed, so the bgemm column forces
-/// kBitpacked to keep timing the packed kernel; conv2 runs at K=72.
+/// BinaryConv2d on the small-CNN geometries: the training-mode forward
+/// (im2col + float GEMM, sign(W)/alpha rebuilt per call) vs. im2col + bgemm
+/// (the patches sign-pack once per batch). conv1's K is only 9 taps (one
+/// ragged lane) — below the inference packing floor precisely because it
+/// measures slower packed, so the bgemm column calls nn::bgemm on the
+/// packed patches directly to keep timing the packed kernel; conv2 runs at
+/// K=72.
 void bench_binary_conv() {
   const std::vector<ConvShape> shapes = {
       {"conv1  16x1x16x16->8", 16, 1, 8, 3, 1, 16, 16},
@@ -280,9 +277,9 @@ void bench_binary_conv() {
       {"conv1 128x1x16x16->8", 128, 1, 8, 3, 1, 16, 16},
       {"conv2 128x8x8x8->16", 128, 8, 16, 3, 1, 8, 8},
   };
-  std::printf("\nBinaryConv2d inference (±1 activations): im2col float GEMM vs\n"
-              "im2col bgemm (outputs bitwise identical)\n");
-  std::printf("%-22s %11s %11s %9s\n", "shape", "float GI/s", "bgemm GI/s",
+  std::printf("\nBinaryConv2d (±1 activations): training-mode im2col float GEMM\n"
+              "vs. im2col bgemm (outputs bitwise identical)\n");
+  std::printf("%-22s %11s %11s %9s\n", "shape", "remat GI/s", "bgemm GI/s",
               "speedup");
   std::mt19937_64 engine(4);
   for (const ConvShape& s : shapes) {
@@ -293,14 +290,21 @@ void bench_binary_conv() {
     const std::size_t ow = s.w + 2 * s.padding - s.kernel + 1;
     const double iops = 2.0 * static_cast<double>(s.batch * s.out_ch * oh * ow *
                                                   s.in_ch * s.kernel * s.kernel);
-    layer.set_binary_algo(nn::BinaryAlgo::kFloat);
-    const double t_float =
-        best_seconds([&] { (void)layer.forward(x, false); }, 9);
-    layer.set_binary_algo(nn::BinaryAlgo::kBitpacked);
-    const double t_bgemm =
-        best_seconds([&] { (void)layer.forward(x, false); }, 9);
-    std::printf("%-22s %11.2f %11.2f %8.2fx\n", s.label, iops / t_float * 1e-9,
-                iops / t_bgemm * 1e-9, t_float / t_bgemm);
+    const double t_remat =
+        best_seconds([&] { (void)layer.forward(x, true); }, 9);
+    const std::size_t taps = s.in_ch * s.kernel * s.kernel;
+    const nn::BitMatrix weights = nn::BitMatrix::pack_rows_sign(
+        layer.binary_weight().reshaped({s.out_ch, taps}));
+    const nn::Tensor alpha = layer.channel_scales();
+    const double t_bgemm = best_seconds(
+        [&] {
+          const std::optional<nn::BitMatrix> cols =
+              nn::BitMatrix::try_pack_rows(nn::im2col(x, s.kernel, s.padding));
+          (void)nn::bgemm(cols.value(), weights, &alpha, &layer.bias());
+        },
+        9);
+    std::printf("%-22s %11.2f %11.2f %8.2fx\n", s.label, iops / t_remat * 1e-9,
+                iops / t_bgemm * 1e-9, t_remat / t_bgemm);
   }
 }
 
@@ -417,49 +421,6 @@ void bench_fused_mc() {
   }
 }
 
-/// The consecutive-duplicate inference cache on the fused MC stack: the
-/// first binary layer of each fused forward sees every request row T times
-/// in a row and computes it once when the cache is on.
-void bench_patch_cache() {
-  data::StrokeConfig sc;
-  sc.samples_per_class = 4;
-  const nn::Dataset data =
-      data::standardize_per_sample(data::make_stroke_digits_flat(sc, 3));
-  core::ModelConfig mc;
-  mc.method = core::Method::kSpinDrop;
-  mc.seed = 7;
-  const core::BuiltModel model = core::make_binary_mlp(mc, 256, {128, 128}, 10);
-
-  std::printf("\nFused MC forward with the patch/row cache off vs. on\n"
-              "(predictions bitwise identical)\n");
-  std::printf("%4s %4s %14s %14s %9s\n", "B", "T", "off req/s", "on req/s",
-              "speedup");
-  for (const auto& [batch, samples] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {8, 8}, {16, 20}, {32, 20}}) {
-    const nn::Tensor inputs = data.batch(0, batch).first;
-    std::vector<std::uint64_t> seeds(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      seeds[b] = nn::mix_seed(0xbe4c6, b);
-    }
-    core::BuiltModel off_model = model.clone();
-    off_model.enable_mc(true);
-    nn::set_patch_cache_enabled(false);
-    const double t_off = best_seconds(
-        [&] { (void)core::predict_fused_batch(off_model, inputs, seeds, samples); },
-        3);
-    core::BuiltModel on_model = model.clone();
-    on_model.enable_mc(true);
-    nn::set_patch_cache_enabled(true);
-    const double t_on = best_seconds(
-        [&] { (void)core::predict_fused_batch(on_model, inputs, seeds, samples); },
-        3);
-    const double bd = static_cast<double>(batch);
-    std::printf("%4zu %4zu %14.0f %14.0f %8.2fx\n", batch, samples, bd / t_off,
-                bd / t_on, t_off / t_on);
-  }
-}
-
 /// --digest: print FNV fingerprints of fixed-seed evaluations and exit.
 /// CI runs this twice — once dispatched, once under NEUSPIN_SIMD=scalar —
 /// and diffs the output, proving the tiers bitwise identical end to end.
@@ -519,6 +480,5 @@ int main(int argc, char** argv) {
   bench_conv();
   bench_binary_conv();
   bench_fused_mc();
-  bench_patch_cache();
   return 0;
 }

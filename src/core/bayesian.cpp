@@ -121,7 +121,6 @@ std::vector<Prediction> predict_fused_batch(std::span<BuiltModel> team,
     throw std::invalid_argument("predict_fused_batch: expected (batch x features)");
   }
   const std::size_t batch = inputs.dim(0);
-  const std::size_t features = inputs.dim(1);
   if (batch == 0 || batch != request_seeds.size()) {
     throw std::invalid_argument(
         "predict_fused_batch: expected one request seed per input row");
@@ -130,79 +129,72 @@ std::vector<Prediction> predict_fused_batch(std::span<BuiltModel> team,
     throw std::invalid_argument("predict_fused_batch: need at least one MC sample");
   }
 
-  // Stack request rows x passes: stacked row b*T + t is a copy of input
-  // row b running pass t's stream.
+  // The deterministic head returns the same tensor on every pass, so it
+  // runs once on the B request rows. Tail row b*T + t is head row b under
+  // pass t's stream.
+  nn::Sequential& lead = team[0].net;
+  const std::size_t head = deterministic_head_length(lead);
+  const std::size_t depth = lead.size();
+  const nn::Tensor head_out = lead.forward_range(inputs, 0, head, /*training=*/false);
+  const std::size_t width = head_out.numel() / batch;
   const std::size_t rows = batch * mc_samples;
-  nn::Tensor stacked({rows, features});
   std::vector<std::uint64_t> row_seeds(rows);
   for (std::size_t b = 0; b < batch; ++b) {
-    const auto src = inputs.data().subspan(b * features, features);
     for (std::size_t t = 0; t < mc_samples; ++t) {
-      std::copy(src.begin(), src.end(),
-                stacked.data().begin() +
-                    static_cast<std::ptrdiff_t>((b * mc_samples + t) * features));
       row_seeds[b * mc_samples + t] = nn::mix_seed(request_seeds[b], t);
     }
   }
 
+  // Tail rows [begin, end) on one team member. Each row computes under its
+  // own stream seed and the forward is row-independent, so any contiguous
+  // partition of the tail rows gives the single-model bits — the partition
+  // only decides which clone computes which rows. Every chunk reads the
+  // one shared head tensor.
   const std::size_t chunks = std::min(team.size(), rows);
-  nn::Tensor logits;
+  std::vector<nn::Tensor> chunk_logits(chunks);
+  const auto run_chunk = [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+    nn::Shape shape = head_out.shape();
+    shape[0] = end - begin;
+    nn::Tensor tail_in(shape);
+    const float* src = head_out.data().data();
+    float* dst = tail_in.data().data();
+    for (std::size_t r = begin; r < end; ++r) {
+      std::copy_n(src + (r / mc_samples) * width, width, dst + (r - begin) * width);
+    }
+    nn::Sequential& net = team[chunk].net;
+    net.reseed_rows(std::span<const std::uint64_t>(row_seeds).subspan(begin, end - begin));
+    chunk_logits[chunk] = net.forward_range(tail_in, head, depth, /*training=*/false);
+  };
   if (chunks <= 1) {
-    logits = team[0].stochastic_logits_rows(stacked, row_seeds);
-    if (logits.rank() != 2 || logits.dim(0) != rows) {
-      throw std::invalid_argument(
-          "predict_fused_batch: model returned bad logits shape");
-    }
+    run_chunk(0, 0, rows);
   } else {
-    // Contiguous row partitions, one per team member. Each chunk's rows
-    // carry the same per-row stream seeds they had in the full stack, and
-    // the forward is row-independent, so the chunked logits are bit for
-    // bit the single-model stacked forward's — the partition only decides
-    // which clone computes which rows.
-    std::vector<nn::Tensor> chunk_logits(chunks);
-    (pool != nullptr ? *pool : ThreadPool::shared())
-        .run_chunked(rows, chunks,
-                     [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                       const std::size_t span = end - begin;
-                       nn::Tensor part({span, features});
-                       std::copy(
-                           stacked.data().begin() +
-                               static_cast<std::ptrdiff_t>(begin * features),
-                           stacked.data().begin() +
-                               static_cast<std::ptrdiff_t>(end * features),
-                           part.data().begin());
-                       chunk_logits[chunk] = team[chunk].stochastic_logits_rows(
-                           part, std::span<const std::uint64_t>(row_seeds)
-                                     .subspan(begin, span));
-                     });
-    std::size_t classes = 0;
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const nn::Tensor& part = chunk_logits[c];
-      if (part.empty() && part.rank() == 0) {
-        continue;  // ragged ceil partition: trailing chunks may be empty
-      }
-      if (part.rank() != 2 || (classes != 0 && part.dim(1) != classes) ||
-          row + part.dim(0) > rows) {
-        throw std::invalid_argument(
-            "predict_fused_batch: model returned bad logits shape");
-      }
-      if (classes == 0) {
-        classes = part.dim(1);
-        logits = nn::Tensor({rows, classes});
-      }
-      std::copy(part.data().begin(), part.data().end(),
-                logits.data().begin() +
-                    static_cast<std::ptrdiff_t>(row * classes));
-      row += part.dim(0);
+    (pool != nullptr ? *pool : ThreadPool::shared()).run_chunked(rows, chunks, run_chunk);
+  }
+
+  nn::Tensor logits;
+  std::size_t classes = 0;
+  std::size_t filled = 0;
+  for (const nn::Tensor& part : chunk_logits) {
+    if (part.empty() && part.rank() == 0) {
+      continue;  // ragged ceil partition: trailing chunks may be empty
     }
-    if (row != rows) {
+    if (part.rank() != 2 || (classes != 0 && part.dim(1) != classes) ||
+        filled + part.dim(0) > rows) {
       throw std::invalid_argument(
           "predict_fused_batch: model returned bad logits shape");
     }
+    if (classes == 0) {
+      classes = part.dim(1);
+      logits = nn::Tensor({rows, classes});
+    }
+    std::copy(part.data().begin(), part.data().end(),
+              logits.data().begin() + static_cast<std::ptrdiff_t>(filled * classes));
+    filled += part.dim(0);
+  }
+  if (filled != rows) {
+    throw std::invalid_argument("predict_fused_batch: model returned bad logits shape");
   }
   const nn::Tensor probs = nn::softmax_rows(logits);
-  const std::size_t classes = probs.dim(1);
 
   std::vector<Prediction> out;
   out.reserve(batch);

@@ -88,12 +88,13 @@ class McPredictor {
   std::uint64_t base_seed_;
 };
 
-/// Fused batched Monte-Carlo prediction: stacks the T stochastic passes of
-/// every request row into one (B*T x features) forward per layer — one
-/// large cache-blocked matmul instead of B*T vector-matrix products — and
-/// reduces each row's T passes through McPredictor::reduce. Row b of
-/// `inputs` occupies stacked rows [b*T, (b+1)*T), pass t running under the
-/// per-row stream seed mix_seed(request_seeds[b], t).
+/// Fused batched Monte-Carlo prediction: runs the network's deterministic
+/// head (deterministic_head_length) once on the B request rows, stacks its
+/// output T times per request, and runs the stochastic tail as one
+/// (B*T x width) forward per layer — one large cache-blocked matmul instead
+/// of B*T vector-matrix products — then reduces each row's T passes through
+/// McPredictor::reduce. Head row b feeds tail rows [b*T, (b+1)*T), pass t
+/// running under the per-row stream seed mix_seed(request_seeds[b], t).
 ///
 /// Contract: the returned Prediction for row b is bitwise identical to
 ///   McPredictor(mc_samples, request_seeds[b]).predict(row_b, forward)
@@ -108,10 +109,11 @@ class McPredictor {
     BuiltModel& model, const nn::Tensor& inputs,
     std::span<const std::uint64_t> request_seeds, std::size_t mc_samples);
 
-/// Pool-parallel fused prediction: the stacked (B*T) rows are split into
-/// one deterministic contiguous chunk per team member and chunk c runs its
-/// share of the stacked forward on team[c] concurrently over `pool`
-/// (ThreadPool::shared() when null). Because every stacked row computes
+/// Pool-parallel fused prediction: team[0] runs the head, then the stacked
+/// (B*T) tail rows are split into one deterministic contiguous chunk per
+/// team member and chunk c runs its share of the tail on team[c]
+/// concurrently over `pool` (ThreadPool::shared() when null), reading the
+/// one shared head tensor. Because every stacked row computes
 /// under its own splitmix64 stream (Layer::reseed_rows) and the blocked
 /// kernels make each output row a function of its input row alone, the
 /// partition is invisible in the results: any team size — including a team

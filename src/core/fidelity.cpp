@@ -41,11 +41,8 @@ BehavioralBackend::BehavioralBackend(const BuiltModel& model,
   if (config.team_size == 0) {
     throw std::invalid_argument("BehavioralBackend: team_size must be at least 1");
   }
-  // Member 0 serves the unfused per-request loops; the fused path splits
-  // its stacked forward across the whole team.
-  const std::size_t members = config.fused ? config.team_size : 1;
-  team_.reserve(members);
-  for (std::size_t m = 0; m < members; ++m) {
+  team_.reserve(config.team_size);
+  for (std::size_t m = 0; m < config.team_size; ++m) {
     team_.push_back(model.clone());
     team_.back().enable_mc(true);
   }
@@ -73,27 +70,12 @@ BackendBatch BehavioralBackend::forward(const nn::Tensor& inputs,
   obs::ScopedSpan span(tracer_, "rung:behavioral", "backend");
   span.arg("rows", static_cast<double>(batch));
   span.arg("mc_samples", static_cast<double>(config_.mc_samples));
-  span.arg("fused", config_.fused ? 1.0 : 0.0);
   BackendBatch out;
-  if (config_.fused) {
-    // One stacked (requests x T) forward per layer; per-row streams keep
-    // every row the bit-exact batch-of-one prediction.
-    out.predictions = predict_fused_batch(std::span<BuiltModel>(team_), inputs,
-                                          request_seeds, config_.mc_samples);
-  } else {
-    out.predictions.reserve(batch);
-    BuiltModel& replica = team_.front();
-    for (std::size_t b = 0; b < batch; ++b) {
-      const nn::Tensor row = copy_row(inputs, b);
-      const McPredictor predictor(config_.mc_samples, request_seeds[b]);
-      out.predictions.push_back(predictor.predict(
-          row, McPredictor::SeededForward(
-                   [&replica](const nn::Tensor& x, std::uint64_t pass_seed) {
-                     replica.reseed_stochastic(pass_seed);
-                     return replica.stochastic_logits(x);
-                   })));
-    }
-  }
+  // Head once per request, the stochastic tail as one stacked
+  // (requests x T) forward per layer; per-row streams keep every row the
+  // bit-exact batch-of-one prediction.
+  out.predictions = predict_fused_batch(std::span<BuiltModel>(team_), inputs,
+                                        request_seeds, config_.mc_samples);
   // No electrical events on this path: energy is the census-priced
   // constant, and a caller ledger has nothing to merge.
   out.energy_pj.assign(batch, config_.energy_pj_per_request);

@@ -20,8 +20,9 @@
 // Two leaf backends live here, next to the machinery they wrap:
 //
 //  * BehavioralBackend — BuiltModel clones running the fast tensor path
-//    (fused (requests x T) stacked forwards or per-request MC loops);
-//    energy is census-priced per request by the caller.
+//    (core::predict_fused_batch: the deterministic head once per request,
+//    the stochastic tail on the (requests x T) stack); energy is
+//    census-priced per request by the caller.
 //  * TiledBackend — a TiledMlp replica running the full electrical
 //    simulation (crossbar currents, ADC, defects, event-driven delta
 //    evaluation); energy is measured event by event per request.
@@ -178,11 +179,7 @@ class FidelityBackend {
 /// Knobs of the behavioural (fast tensor path) backend.
 struct BehavioralBackendConfig {
   std::size_t mc_samples = 20;  ///< T stochastic passes per request
-  /// Serve each forward() through the fused (requests x T) stacked pass
-  /// (core::predict_fused_batch) instead of per-request MC loops. Bitwise
-  /// identical either way under the per-row stream contract.
-  bool fused = true;
-  /// Clones splitting the fused stacked forward over the shared pool
+  /// Clones splitting the fused stacked tail over the shared pool
   /// (resolved; 1 = run inline on the calling thread).
   std::size_t team_size = 1;
   /// Census-priced energy of one request (0 = no energy accounting). The

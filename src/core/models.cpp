@@ -190,17 +190,6 @@ BuiltModel BuiltModel::clone() const {
   return copy;
 }
 
-void BuiltModel::set_binary_algo(nn::BinaryAlgo algo) {
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    nn::Layer* layer = &net.layer(i);
-    if (auto* l = dynamic_cast<nn::BinaryDense*>(layer)) {
-      l->set_binary_algo(algo);
-    } else if (auto* l = dynamic_cast<nn::BinaryConv2d*>(layer)) {
-      l->set_binary_algo(algo);
-    }
-  }
-}
-
 std::size_t deterministic_head_length(const nn::Sequential& net) {
   std::size_t head = 0;
   for (; head < net.size(); ++head) {

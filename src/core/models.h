@@ -69,10 +69,9 @@ struct BuiltModel {
   /// Fused stochastic forward: one pass over a stacked (rows x features)
   /// batch where row r computes under per-row streams seeded by
   /// row_seeds[r] — bit for bit what reseed_stochastic(row_seeds[r])
-  /// followed by stochastic_logits on that single row would return. The
-  /// fused Monte-Carlo path (core::predict_fused_batch) stacks T passes x
-  /// B requests through this to run one big matmul per layer instead of
-  /// T*B small ones.
+  /// followed by stochastic_logits on that single row would return — the
+  /// per-row contract the fused Monte-Carlo path (core::predict_fused_batch)
+  /// runs its stacked stochastic tail under.
   [[nodiscard]] nn::Tensor stochastic_logits_rows(
       const nn::Tensor& stacked, std::span<const std::uint64_t> row_seeds);
 
@@ -87,11 +86,6 @@ struct BuiltModel {
   /// replicate a trained model once per worker thread; clones share no
   /// mutable state (energy ledgers excepted — see the layer headers).
   [[nodiscard]] BuiltModel clone() const;
-
-  /// Pin the inference compute path of every binary layer (kAuto routes
-  /// onto the bit-packed XNOR/popcount kernels when the activations pack
-  /// exactly; kFloat is the reference oracle). Training is unaffected.
-  void set_binary_algo(nn::BinaryAlgo algo);
 };
 
 /// Length of the deterministic head of `net`: the number of leading layers
@@ -100,7 +94,9 @@ struct BuiltModel {
 /// allowlist of exact types (BinaryDense, BinaryConv2d, Dense, Conv2d,
 /// BatchNorm, Sign, MaxPool2d, Flatten, ReLU, HardTanh); any other layer,
 /// subclasses of those included, ends the head. The offline evaluator
-/// runs layers [0, head) once per batch and each pass from the head on.
+/// runs layers [0, head) once per batch and each pass from the head on;
+/// the fused serving path runs them once on the B request rows and the
+/// tail on the B*T stacked rows.
 [[nodiscard]] std::size_t deterministic_head_length(const nn::Sequential& net);
 
 /// Binary MLP: in -> hidden... -> classes on flattened inputs.

@@ -4,42 +4,8 @@
 #include <utility>
 
 #include "nn/conv_lowering.h"
-#include "obs/metrics.h"
 
 namespace neuspin::nn {
-
-namespace {
-
-/// Rows/images the consecutive-duplicate inference cache skipped
-/// recomputing (the fused Monte-Carlo path stacks each request T times).
-obs::Counter& patch_cache_hit_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("nn.patch_cache.hits");
-  return counter;
-}
-
-/// Run `compute` (a deterministic, block-independent map over the leading
-/// axis) on the unique consecutive blocks of `input` only, then expand the
-/// results back — the cross-pass patch/row cache of the binary layers.
-/// Bitwise neutral: per-block independence means the gathered computation
-/// produces the exact bits of the full one, and the scatter only copies.
-template <typename Fn>
-Tensor dedup_leading_blocks(const Tensor& input, const Fn& compute) {
-  const std::size_t blocks = input.dim(0);
-  if (!patch_cache_enabled() || blocks <= 1) {
-    return compute(input);
-  }
-  const detail::DupMap map = detail::consecutive_dup_map(
-      input.data().data(), blocks, input.numel() / blocks);
-  if (!map.has_duplicates()) {
-    return compute(input);
-  }
-  patch_cache_hit_counter().inc(blocks - map.unique);
-  return detail::scatter_unique_blocks(
-      compute(detail::gather_unique_blocks(input, map)), map);
-}
-
-}  // namespace
 
 Tensor sign_of(const Tensor& t) {
   Tensor out = t;
@@ -100,33 +66,6 @@ const detail::PackedBinaryWeights& BinaryDense::packed() {
   return pack_;
 }
 
-/// Inference product for one (already deduplicated) row block. The float
-/// fallback uses the cached sign(W)/alpha — the same values the training
-/// path materializes per forward — and the identical epilogue expression,
-/// so every path here is bitwise the pre-pack forward.
-Tensor BinaryDense::infer_rows(const Tensor& x) {
-  if (binary_algo_ == BinaryAlgo::kBitpacked ||
-      (binary_algo_ == BinaryAlgo::kAuto && in_ >= detail::kMinPackedK)) {
-    std::optional<BitMatrix> packed_x;
-    if (binary_algo_ == BinaryAlgo::kBitpacked) {
-      packed_x = BitMatrix::pack_rows_sign(x);  // paper's sign quantization
-    } else {
-      packed_x = BitMatrix::try_pack_rows(x);  // kAuto: only when exact
-    }
-    if (packed_x.has_value()) {
-      return bgemm(*packed_x, pack_.bits, &pack_.alpha, &bias_);
-    }
-  }
-  Tensor out = matmul(x, pack_.sign_float);
-  const std::size_t batch = out.dim(0);
-  for (std::size_t i = 0; i < batch; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) {
-      out.at(i, j) = out.at(i, j) * pack_.alpha[j] + bias_[j];
-    }
-  }
-  return out;
-}
-
 Tensor BinaryDense::forward(const Tensor& input, bool training) {
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("BinaryDense: expected (batch x " + std::to_string(in_) +
@@ -148,14 +87,27 @@ Tensor BinaryDense::forward(const Tensor& input, bool training) {
     return out;
   }
   // Inference: no backward state (mirror BinaryConv2d's contract), cached
-  // sign-packed weights, duplicate-row cache, bit-packed product when the
-  // activations allow it.
+  // sign-packed weights, bit-packed product when the activations pack
+  // exactly. The float fallback uses the cached sign(W)/alpha — the values
+  // the training path materializes per forward — and the identical
+  // epilogue expression, so both paths are bitwise the training forward.
   input_cache_ = Tensor();
   binary_cache_ = Tensor();
   alpha_cache_ = Tensor();
-  (void)packed();
-  return dedup_leading_blocks(input,
-                              [this](const Tensor& x) { return infer_rows(x); });
+  const detail::PackedBinaryWeights& pack = packed();
+  if (in_ >= detail::kMinPackedK) {
+    if (const std::optional<BitMatrix> packed_x = BitMatrix::try_pack_rows(input)) {
+      return bgemm(*packed_x, pack.bits, &pack.alpha, &bias_);
+    }
+  }
+  Tensor out = matmul(input, pack.sign_float);
+  const std::size_t batch = out.dim(0);
+  for (std::size_t i = 0; i < batch; ++i) {
+    for (std::size_t j = 0; j < out_; ++j) {
+      out.at(i, j) = out.at(i, j) * pack.alpha[j] + bias_[j];
+    }
+  }
+  return out;
 }
 
 Tensor BinaryDense::backward(const Tensor& grad_output) {
@@ -237,7 +189,7 @@ const detail::PackedBinaryWeights& BinaryConv2d::packed() {
   return pack_;
 }
 
-/// Inference forward for one (already deduplicated) NCHW block.
+/// Inference forward on an NCHW batch, reading the cached packed weights.
 Tensor BinaryConv2d::infer_images(const Tensor& x) {
   const std::size_t n = x.dim(0);
   const std::size_t h = x.dim(2);
@@ -248,18 +200,11 @@ Tensor BinaryConv2d::infer_images(const Tensor& x) {
   if (algo_ == Conv2d::Algo::kIm2col) {
     Tensor cols = im2col(x, kernel_, padding_);
     const std::size_t taps = in_ch_ * kernel_ * kernel_;
-    if (binary_algo_ == BinaryAlgo::kBitpacked ||
-        (binary_algo_ == BinaryAlgo::kAuto && taps >= detail::kMinPackedK)) {
+    if (taps >= detail::kMinPackedK) {
       // Patches are sign-packed once per batch and reused across every
       // output channel; padding zeros land in the mask plane, so the
       // popcount dot is exact — see nn/bitpack.h.
-      std::optional<BitMatrix> packed_cols;
-      if (binary_algo_ == BinaryAlgo::kBitpacked) {
-        packed_cols = BitMatrix::pack_rows_sign(cols);
-      } else {
-        packed_cols = BitMatrix::try_pack_rows(cols);
-      }
-      if (packed_cols.has_value()) {
+      if (const std::optional<BitMatrix> packed_cols = BitMatrix::try_pack_rows(cols)) {
         const Tensor out_rows =
             bgemm(*packed_cols, pack_.bits, &pack_.alpha, &bias_);
         return detail::rows_to_nchw(out_rows, n, out_ch_, oh, ow);
@@ -323,16 +268,15 @@ Tensor BinaryConv2d::forward(const Tensor& input, bool training) {
   }
   if (!training) {
     // Inference: no backward state (see Conv2d::forward), cached
-    // sign-packed weights, duplicate-image cache, bit-packed GEMM when the
-    // im2col patches pack exactly.
+    // sign-packed weights, bit-packed GEMM when the im2col patches pack
+    // exactly.
     input_shape_ = Shape{};
     input_cache_ = Tensor();
     cols_cache_ = Tensor();
     binary_cache_ = Tensor();
     alpha_cache_ = Tensor();
     (void)packed();
-    return dedup_leading_blocks(
-        input, [this](const Tensor& x) { return infer_images(x); });
+    return infer_images(input);
   }
 
   // Training path: float STE forward, kept bit-for-bit as it always was.

@@ -13,11 +13,11 @@
 // fingerprint mismatch) and, when the incoming activations are exactly
 // {-1, 0, +1} — sign activations, SpinDrop zeros, im2col padding — the
 // forward runs on the bit-packed XNOR/popcount GEMM (nn/bitpack.h), which
-// is pinned bitwise equal to the float-materialized product. BinaryAlgo
-// selects the path the way Conv2d::Algo pins direct-vs-im2col: kFloat is
-// the always-float reference oracle, kAuto packs when exact, kBitpacked
-// additionally applies the paper's sign quantization to real-valued
-// activations (changes results; never on by default).
+// is pinned bitwise equal to the float-materialized product; any other
+// input (real-valued features, a reduction shallower than kMinPackedK)
+// takes the float GEMM. The float reference oracle is the training-mode
+// forward: the same matmul(x, sign(W)) and the same epilogue, pinned
+// bitwise equal to the inference forward by the layer tests.
 #pragma once
 
 #include <memory>
@@ -35,21 +35,13 @@ namespace neuspin::nn {
 /// Per-column scale alpha_j = mean_i |W_ij| of an (in x out) weight matrix.
 [[nodiscard]] Tensor column_abs_mean(const Tensor& weight);
 
-/// Inference compute path of the binary layers.
-enum class BinaryAlgo : std::uint8_t {
-  kAuto,       ///< bgemm when the inputs pack exactly, float otherwise
-  kBitpacked,  ///< always bgemm; sign-quantizes real-valued inputs
-  kFloat,      ///< always the float-materialized path (reference oracle)
-};
-
 namespace detail {
 
-/// kAuto only takes the bit-packed kernel when the reduction is at least
-/// this deep: below it the per-forward packing cost exceeds what the
+/// Inference only takes the bit-packed kernel when the reduction is at
+/// least this deep: below it the per-forward packing cost exceeds what the
 /// XNOR/popcount dot saves (a 3x3 single-channel conv has K = 9 — one
 /// ragged 9-bit lane — and measures slower packed than the float GEMM).
-/// kBitpacked ignores the floor: it is the explicit opt-in. Every path is
-/// bitwise identical, so this is a throughput knob only.
+/// Both paths are bitwise identical, so this is a throughput choice only.
 inline constexpr std::size_t kMinPackedK = 16;
 
 /// Sign-packed weights cached across inference forwards, keyed by a
@@ -94,16 +86,12 @@ class BinaryDense : public Layer {
   [[nodiscard]] Tensor scales() const { return column_abs_mean(latent_weight_); }
   [[nodiscard]] Tensor& latent_weight() { return latent_weight_; }
   [[nodiscard]] Tensor& bias() { return bias_; }
-  void set_binary_algo(BinaryAlgo algo) { binary_algo_ = algo; }
-  [[nodiscard]] BinaryAlgo binary_algo() const { return binary_algo_; }
 
  private:
   [[nodiscard]] const detail::PackedBinaryWeights& packed();
-  [[nodiscard]] Tensor infer_rows(const Tensor& x);
 
   std::size_t in_;
   std::size_t out_;
-  BinaryAlgo binary_algo_ = BinaryAlgo::kAuto;
   Tensor latent_weight_;
   Tensor bias_;
   Tensor weight_grad_;
@@ -119,9 +107,9 @@ class BinaryDense : public Layer {
 ///
 /// Like Conv2d it computes through either the direct per-element loop or
 /// the im2col lowering onto the blocked GEMM kernels (the default); the
-/// two algorithms are bitwise equal — see the Conv2d class comment. On
-/// top of that, BinaryAlgo routes the lowered inference GEMM onto the
-/// bit-packed kernels when the im2col patches pack exactly.
+/// two algorithms are bitwise equal — see the Conv2d class comment. The
+/// lowered inference GEMM runs on the bit-packed kernels when the im2col
+/// patches pack exactly and the reduction reaches kMinPackedK.
 class BinaryConv2d : public Layer {
  public:
   BinaryConv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -147,8 +135,6 @@ class BinaryConv2d : public Layer {
   [[nodiscard]] Tensor& bias() { return bias_; }
   void set_algo(Conv2d::Algo algo) { algo_ = algo; }
   [[nodiscard]] Conv2d::Algo algo() const { return algo_; }
-  void set_binary_algo(BinaryAlgo algo) { binary_algo_ = algo; }
-  [[nodiscard]] BinaryAlgo binary_algo() const { return binary_algo_; }
 
  private:
   [[nodiscard]] const detail::PackedBinaryWeights& packed();
@@ -159,7 +145,6 @@ class BinaryConv2d : public Layer {
   std::size_t kernel_;
   std::size_t padding_;
   Conv2d::Algo algo_ = Conv2d::Algo::kIm2col;
-  BinaryAlgo binary_algo_ = BinaryAlgo::kAuto;
   Tensor latent_weight_;  ///< (out_ch, in_ch, k, k)
   Tensor bias_;
   Tensor weight_grad_;

@@ -1,6 +1,5 @@
 #include "nn/bitpack.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -57,7 +56,7 @@ std::optional<BitMatrix> BitMatrix::try_pack_rows(const Tensor& t) {
   if (simd::kernels().pack_ternary(t.data().data(), out.rows_, out.cols_,
                                    out.lanes_, out.bits_.data(),
                                    out.mask_.data()) != 0) {
-    return std::nullopt;  // a non-ternary element: kAuto falls back to float
+    return std::nullopt;  // a non-ternary element: inference falls back to float
   }
   out.finalize_row_counts();
   return out;
@@ -155,18 +154,6 @@ std::uint64_t tensor_fingerprint(const Tensor& t) {
     mix(stream);
   }
   return h;
-}
-
-namespace {
-std::atomic<bool> g_patch_cache{true};
-}  // namespace
-
-bool patch_cache_enabled() {
-  return g_patch_cache.load(std::memory_order_relaxed);
-}
-
-void set_patch_cache_enabled(bool enabled) {
-  g_patch_cache.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace neuspin::nn

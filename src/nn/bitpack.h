@@ -46,7 +46,7 @@ class BitMatrix {
 
   /// Pack a rank-2 tensor row-wise ONLY if every element is exactly
   /// -1.0f, 0.0f (either sign) or +1.0f; nullopt otherwise. This is the
-  /// kAuto gate: real-valued activations fall back to the float path
+  /// inference gate: real-valued activations fall back to the float path
   /// instead of being silently quantized.
   [[nodiscard]] static std::optional<BitMatrix> try_pack_rows(const Tensor& t);
 
@@ -95,15 +95,5 @@ class BitMatrix {
 /// comparison that is far below any hardware-error rate this simulator
 /// models.
 [[nodiscard]] std::uint64_t tensor_fingerprint(const Tensor& t);
-
-/// Process-wide switch for the consecutive-duplicate inference cache of
-/// the binary layers (the fused Monte-Carlo path stacks each request T
-/// times in a row; the layers compute unique rows/images once and copy
-/// the results). On by default; the off position exists for the
-/// patch-cache bench leg and the cache-on-vs-off equivalence tests.
-/// Deterministic layers make the copied rows bitwise identical to
-/// recomputation, so this toggle can never change a result.
-[[nodiscard]] bool patch_cache_enabled();
-void set_patch_cache_enabled(bool enabled);
 
 }  // namespace neuspin::nn

@@ -8,84 +8,9 @@
 // bitwise equivalence between the lowered GEMMs and the direct loops.
 #pragma once
 
-#include <cstring>
-#include <vector>
-
 #include "nn/tensor.h"
 
 namespace neuspin::nn::detail {
-
-/// Consecutive-duplicate structure of the leading axis of a tensor: block
-/// b (a row for rank-2 inputs, a CHW image for NCHW) maps to unique slot
-/// slot[b]; a block equal to its predecessor shares the predecessor's
-/// slot. This is the shape the fused Monte-Carlo path produces — each
-/// request's input stacked T times in a row — so "consecutive" captures
-/// all the duplication that exists there while costing one memcmp per
-/// block to detect.
-struct DupMap {
-  std::vector<std::size_t> slot;  ///< block index -> unique slot
-  std::size_t unique = 0;         ///< number of distinct slots
-
-  [[nodiscard]] bool has_duplicates() const { return unique < slot.size(); }
-};
-
-/// Build the DupMap of `blocks` contiguous blocks of `block_floats` floats.
-[[nodiscard]] inline DupMap consecutive_dup_map(const float* data,
-                                                std::size_t blocks,
-                                                std::size_t block_floats) {
-  DupMap map;
-  map.slot.resize(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    if (b > 0 && std::memcmp(data + (b - 1) * block_floats,
-                             data + b * block_floats,
-                             block_floats * sizeof(float)) == 0) {
-      map.slot[b] = map.slot[b - 1];
-    } else {
-      map.slot[b] = map.unique++;
-    }
-  }
-  return map;
-}
-
-/// Copy the first block of every unique slot into a tensor whose leading
-/// dimension is map.unique (the remaining dimensions are kept).
-[[nodiscard]] inline Tensor gather_unique_blocks(const Tensor& t,
-                                                 const DupMap& map) {
-  Shape shape = t.shape();
-  const std::size_t block_floats = t.numel() / shape[0];
-  shape[0] = map.unique;
-  Tensor out(shape);
-  const float* src = t.data().data();
-  float* dst = out.data().data();
-  std::size_t next = 0;
-  for (std::size_t b = 0; b < map.slot.size(); ++b) {
-    if (map.slot[b] == next) {
-      std::memcpy(dst + next * block_floats, src + b * block_floats,
-                  block_floats * sizeof(float));
-      ++next;
-    }
-  }
-  return out;
-}
-
-/// Inverse of gather_unique_blocks on the OUTPUT side: expand a tensor
-/// computed per unique slot back to one block per original index. Because
-/// the computation per block is deterministic and block-independent, the
-/// copied blocks are bitwise the blocks a full computation would produce.
-[[nodiscard]] inline Tensor scatter_unique_blocks(const Tensor& unique_out,
-                                                  const DupMap& map) {
-  Shape shape = unique_out.shape();
-  const std::size_t block_floats = unique_out.numel() / shape[0];
-  shape[0] = map.slot.size();
-  Tensor out(shape);
-  const float* src = unique_out.data().data();
-  float* dst = out.data().data();
-  for (std::size_t b = 0; b < map.slot.size(); ++b) {
-    std::memcpy(dst + b * block_floats, src + map.slot[b] * block_floats,
-                block_floats * sizeof(float));
-  }
-  return out;
-}
 
 /// Repack an (out_ch, in_ch, k, k) kernel tensor into the (taps x out_ch)
 /// right-hand GEMM operand of the lowered forward: wmat[r][oc] =

@@ -62,8 +62,8 @@ class Layer {
   /// compute for that row. Two callers rely on it:
   ///
   ///  * the fused Monte-Carlo path (inference): stacking T passes x B
-  ///    requests into one (T*B x F) forward reproduces the T*B individual
-  ///    passes exactly;
+  ///    requests into one (T*B x F) forward of the stochastic tail
+  ///    reproduces the T*B individual passes exactly;
   ///  * the data-parallel trainer (training): layers with per-SAMPLE
   ///    training masks (nn::Dropout, core::SpinDropLayer) key each
   ///    sample's mask to its row seed, making the masks independent of
@@ -82,9 +82,10 @@ class Layer {
   /// only correct for layers whose forward is row-independent. A custom
   /// STOCHASTIC layer that overrides reseed() but not reseed_rows() will
   /// draw one shared stream across the whole stacked batch and silently
-  /// break the fused path's batch-invariance guarantee — override both,
-  /// or serve such models with serve::RuntimeConfig::fused_batching set
-  /// to false.
+  /// break the fused path's batch-invariance guarantee, so it must
+  /// override both. A layer of a type the fused path does not know never
+  /// joins its deterministic head (core::deterministic_head_length), so
+  /// it always runs on the stacked rows under its row seeds.
   virtual void reseed_rows(std::span<const std::uint64_t> row_seeds) {
     (void)row_seeds;
   }

@@ -66,8 +66,9 @@ class Sequential {
   /// Run every layer: forward_range(input, 0, size(), training).
   [[nodiscard]] Tensor forward(const Tensor& input, bool training);
   /// Run layers [begin, end) only, feeding `input` to layer `begin`. Lets
-  /// the Monte-Carlo evaluator run a deterministic prefix once and each
-  /// stochastic pass from the first stochastic layer on. An empty range
+  /// the offline Monte-Carlo evaluator and the fused serving path
+  /// (core::predict_fused_batch) run the deterministic head once and the
+  /// stochastic tail from the first stochastic layer on. An empty range
   /// returns a copy of `input`; throws std::out_of_range unless
   /// begin <= end <= size().
   [[nodiscard]] Tensor forward_range(const Tensor& input, std::size_t begin,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "nn/simd.h"
@@ -255,20 +254,7 @@ Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t padding) {
   // stride `taps`. Padding taps are never written (cols zero-initializes),
   // which is the packing cost that makes the lowered GEMM pay off even on
   // the CNN's tiny 9-tap first layer.
-  const std::size_t image_floats = c * h * w;
-  const std::size_t block_floats = oh * ow * taps;
   for (std::size_t b = 0; b < n; ++b) {
-    // Consecutive-duplicate cache: the fused Monte-Carlo path stacks each
-    // request image T times in a row ((B*T) x features), so after the
-    // first lowering the remaining T-1 copies reduce to one memcpy of the
-    // finished patch block. Bitwise identity is free — the copied block IS
-    // the block the loop would have produced.
-    if (b > 0 && std::memcmp(src + (b - 1) * image_floats, src + b * image_floats,
-                             image_floats * sizeof(float)) == 0) {
-      std::memcpy(dst + b * block_floats, dst + (b - 1) * block_floats,
-                  block_floats * sizeof(float));
-      continue;
-    }
     for (std::size_t ic = 0; ic < c; ++ic) {
       const float* plane = src + (b * c + ic) * h * w;
       for (std::size_t ky = 0; ky < kernel; ++ky) {

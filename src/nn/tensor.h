@@ -122,9 +122,6 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c);
 /// Out-of-bounds (padding) taps are exact zeros; the blocked kernels skip
 /// them, mirroring the direct loop's bounds checks. OH = H + 2*padding -
 /// kernel + 1 (and likewise OW) must be positive.
-/// Consecutive duplicate images (bitwise-equal NCHW blocks, e.g. the T
-/// stacked copies of one request in the fused Monte-Carlo path) are
-/// lowered once and then block-copied — same bits, T-1 packings saved.
 [[nodiscard]] Tensor im2col(const Tensor& input, std::size_t kernel,
                             std::size_t padding);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -91,7 +93,6 @@ std::unique_ptr<core::FidelityBackend> Runtime::make_backend(
   const auto behavioral = [&] {
     core::BehavioralBackendConfig backend;
     backend.mc_samples = config_.mc_samples;
-    backend.fused = config_.fused_batching;
     backend.team_size = config_.fused_workers;
     backend.energy_pj_per_request = census_energy_pj_;
     return std::make_unique<core::BehavioralBackend>(model, backend);
@@ -148,9 +149,6 @@ Runtime::Runtime(const core::BuiltModel& model, const RuntimeConfig& config)
   if (config_.mc_samples == 0) {
     throw std::invalid_argument("Runtime: need at least one MC sample");
   }
-  if (config_.latency_window == 0) {
-    throw std::invalid_argument("Runtime: latency_window must be at least 1");
-  }
   if (config_.fault.enabled && config_.fault_site == FaultSite::kExpensiveRung &&
       config_.backend != Backend::kCascade) {
     throw std::invalid_argument(
@@ -171,6 +169,7 @@ Runtime::Runtime(const core::BuiltModel& model, const RuntimeConfig& config)
   ctr_shed_ = &metrics_.counter("serve.shed");
   ctr_shed_queue_full_ = &metrics_.counter("serve.shed.queue_full");
   ctr_shed_shutdown_ = &metrics_.counter("serve.shed.shutdown");
+  ctr_rejected_input_ = &metrics_.counter("serve.rejected_input");
   ctr_escalated_ = &metrics_.counter("serve.escalated");
   ctr_degraded_ = &metrics_.counter("serve.degraded");
   ctr_deadline_ = &metrics_.counter("serve.deadline_expired");
@@ -363,6 +362,18 @@ std::future<ServedPrediction> Runtime::submit_with_id(std::uint64_t id,
     request.deadline = request.enqueued + deadline;
   }
   std::future<ServedPrediction> future = request.promise.get_future();
+  // Input contract: every feature is finite. A NaN or an infinity would
+  // spend a full Monte-Carlo forward on an answer that means nothing, so
+  // the request fails here, before it takes a queue slot.
+  const auto bad = std::find_if_not(request.features.begin(), request.features.end(),
+                                    [](float v) { return std::isfinite(v); });
+  if (bad != request.features.end()) {
+    ctr_rejected_input_->inc();
+    request.promise.set_exception(std::make_exception_ptr(std::invalid_argument(
+        "Runtime: request " + std::to_string(id) + " feature " +
+        std::to_string(bad - request.features.begin()) + " is not finite")));
+    return future;
+  }
   const std::size_t depth = batcher_.pending();
   if (config_.max_queue_depth > 0 && depth >= config_.max_queue_depth) {
     // Admission control: shed instead of queueing — the future resolves

@@ -16,9 +16,10 @@
 // each worker owns one backend clone and serves every popped batch with
 // one batched forward(inputs, request_seeds) call. Three backends plug in:
 //  * kBehavioral — core::BehavioralBackend (BuiltModel clones on the fast
-//    tensor path, fused (requests x T) stacked forwards by default, with
-//    any behavioural HwNoiseConfig non-idealities the model was built
-//    with); energy is census-derived per request (core::inference_census).
+//    tensor path: the deterministic head once per request, the stochastic
+//    tail as one (requests x T) stacked forward, with any behavioural
+//    HwNoiseConfig non-idealities the model was built with); energy is
+//    census-derived per request (core::inference_census).
 //  * kTiled — core::TiledBackend (a TiledMlp replica: crossbar currents,
 //    ADC quantization, defects, event-driven delta evaluation); energy is
 //    measured event by event into a per-request EnergyLedger.
@@ -191,17 +192,8 @@ struct RuntimeConfig {
   /// `census` (mc_passes is overridden with `mc_samples`).
   bool account_energy = true;
   core::CensusConfig census{};
-  /// Behavioural backend: serve each popped batch through the fused
-  /// (requests x T) stacked forward (core::predict_fused_batch) instead of
-  /// per-request Monte-Carlo loops. Per-row streams keep results bitwise
-  /// identical either way — provided every stochastic layer in the model
-  /// implements nn::Layer::reseed_rows (all built-in method layers do).
-  /// Set to false for A-B benchmarking or when serving a model containing
-  /// a custom stochastic layer that predates the per-row contract.
-  /// Ignored by the tiled backend.
-  bool fused_batching = true;
   /// Fused-path intra-batch parallelism: each popped batch's stacked
-  /// (requests x T) forward is split into this many deterministic
+  /// (requests x T) stochastic tail is split into this many deterministic
   /// contiguous row partitions served concurrently on the shared
   /// core::ThreadPool, each partition on its own replica clone (so a
   /// single large request batch scales past one core even at workers=1).
@@ -218,12 +210,6 @@ struct RuntimeConfig {
   /// 0 disables shedding. The depth check races benignly with the workers
   /// (the bound is approximate by at most the in-flight pops).
   std::size_t max_queue_depth = 0;
-  /// Retained for API compatibility (must stay >= 1). Latency percentiles
-  /// now come from a log-bucketed histogram (obs/metrics.h) instead of a
-  /// sorted ring-buffer copy, so they no longer truncate to a window; use
-  /// Registry snapshots and HistogramSnapshot::operator-= for windowed
-  /// quantiles.
-  std::size_t latency_window = 1024;
   /// Per-request span tracing (off by default). When enabled the runtime
   /// records queue/forward/policy/request spans per sampled request, batch
   /// spans per pop, rung spans per backend forward and per-tile spans on
@@ -307,8 +293,11 @@ class Runtime {
 
   /// Enqueue one sample; the future resolves once a worker served it (or
   /// carries the exception that prevented that). Auto-seeded: submission
-  /// index i gets stream seed mix_seed(config.seed, i). Throws
-  /// OverloadError (reason kShutdown) after shutdown().
+  /// index i gets stream seed mix_seed(config.seed, i). A sample with a
+  /// non-finite feature is never queued: its future fails at once with
+  /// std::invalid_argument naming the first such feature's index (counted
+  /// in "serve.rejected_input"). Throws OverloadError (reason kShutdown)
+  /// after shutdown().
   [[nodiscard]] std::future<ServedPrediction> submit(std::vector<float> features);
   /// Same, under a caller-chosen stream seed (replay / A-B testing).
   [[nodiscard]] std::future<ServedPrediction> submit(std::vector<float> features,
@@ -474,6 +463,7 @@ class Runtime {
   obs::Counter* ctr_shed_ = nullptr;
   obs::Counter* ctr_shed_queue_full_ = nullptr;
   obs::Counter* ctr_shed_shutdown_ = nullptr;
+  obs::Counter* ctr_rejected_input_ = nullptr;
   obs::Counter* ctr_escalated_ = nullptr;
   obs::Counter* ctr_degraded_ = nullptr;
   obs::Counter* ctr_deadline_ = nullptr;

@@ -1,7 +1,7 @@
 // Bit-packed XNOR/popcount kernels, SIMD dispatch and the binary-layer
-// inference cache: bitwise-equivalence pins against the float oracle, the
-// ragged-K pad-lane grid, tier equivalence, patch-cache neutrality, and
-// the training-untouched / repack-on-mutate contracts.
+// inference path: bitwise-equivalence pins against the float oracle (the
+// training-mode forward), the ragged-K pad-lane grid, tier equivalence,
+// and the training-untouched / repack-on-mutate contracts.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -72,6 +72,13 @@ Tensor float_oracle(const Tensor& x, const BitMatrix& w_cols, const Tensor* alph
     }
   }
   return out;
+}
+
+/// The binary layers' float reference: the training-mode forward (sign(W)
+/// and alpha materialized per call, float GEMM, the same epilogue) of a
+/// clone, so the layer under test keeps no training state.
+Tensor training_forward(const Layer& layer, const Tensor& x) {
+  return layer.clone()->forward(x, /*training=*/true);
 }
 
 // ------------------------------------------------------------ BitMatrix ----
@@ -289,16 +296,11 @@ TEST(BinaryDenseInference, AutoMatchesFloatOracleOnSignInputs) {
   const Tensor x = random_pm1({6, 33}, engine);
 
   obs::Counter& calls = obs::Registry::global().counter("nn.bgemm.calls");
-  layer.set_binary_algo(BinaryAlgo::kFloat);
-  const Tensor ref = layer.forward(x, /*training=*/false);
+  const Tensor ref = training_forward(layer, x);
 
   const std::uint64_t before = calls.value();
-  layer.set_binary_algo(BinaryAlgo::kAuto);
   expect_bitwise_eq(layer.forward(x, /*training=*/false), ref);
-  EXPECT_GT(calls.value(), before);  // kAuto actually took the packed path
-
-  layer.set_binary_algo(BinaryAlgo::kBitpacked);
-  expect_bitwise_eq(layer.forward(x, /*training=*/false), ref);
+  EXPECT_GT(calls.value(), before);  // inference actually took the packed path
 }
 
 TEST(BinaryDenseInference, AutoFallsBackOnRealInputs) {
@@ -307,11 +309,9 @@ TEST(BinaryDenseInference, AutoFallsBackOnRealInputs) {
   const Tensor x = Tensor::randn({4, 16}, 1.0f, engine);
 
   obs::Counter& calls = obs::Registry::global().counter("nn.bgemm.calls");
-  layer.set_binary_algo(BinaryAlgo::kFloat);
-  const Tensor ref = layer.forward(x, /*training=*/false);
+  const Tensor ref = training_forward(layer, x);
 
   const std::uint64_t before = calls.value();
-  layer.set_binary_algo(BinaryAlgo::kAuto);
   expect_bitwise_eq(layer.forward(x, /*training=*/false), ref);
   EXPECT_EQ(calls.value(), before);  // no silent quantization
 }
@@ -381,14 +381,16 @@ TEST(BinaryDenseTraining, UnperturbedByInterleavedInference) {
   // Two identical training loops; one also runs inference forwards (which
   // exercise the packed path) between steps. Latent weights must match
   // bit for bit — inference shares no state with training.
+  // K = 18 clears kMinPackedK, so the ±1 probe takes the packed path.
   std::mt19937_64 e1(61), e2(61), ex(67);
-  BinaryDense a(14, 6, e1);
-  BinaryDense b(14, 6, e2);
-  b.set_binary_algo(BinaryAlgo::kBitpacked);
-  const Tensor x = random_pm1({4, 14}, ex);
+  BinaryDense a(18, 6, e1);
+  BinaryDense b(18, 6, e2);
+  const Tensor x = random_pm1({4, 18}, ex);
   const Tensor g = Tensor::randn({4, 6}, 0.5f, ex);
-  const Tensor probe = random_pm1({3, 14}, ex);
+  const Tensor probe = random_pm1({3, 18}, ex);
 
+  obs::Counter& calls = obs::Registry::global().counter("nn.bgemm.calls");
+  const std::uint64_t before = calls.value();
   for (int step = 0; step < 3; ++step) {
     (void)a.forward(x, /*training=*/true);
     (void)a.backward(g);
@@ -404,6 +406,7 @@ TEST(BinaryDenseTraining, UnperturbedByInterleavedInference) {
       }
     }
   }
+  EXPECT_GE(calls.value() - before, 3u);  // every probe ran on bgemm
   expect_bitwise_eq(a.latent_weight(), b.latent_weight());
   expect_bitwise_eq(a.bias(), b.bias());
 }
@@ -419,14 +422,12 @@ TEST(BinaryConv2dInference, AlgosBitwiseEqualOnSignInputs) {
   const Tensor direct = layer.forward(x, /*training=*/false);
 
   layer.set_algo(Conv2d::Algo::kIm2col);
-  layer.set_binary_algo(BinaryAlgo::kFloat);
-  const Tensor lowered = layer.forward(x, /*training=*/false);
-  expect_bitwise_eq(lowered, direct);
+  expect_bitwise_eq(training_forward(layer, x), direct);  // lowered float GEMM
 
   obs::Counter& calls = obs::Registry::global().counter("nn.bgemm.calls");
   const std::uint64_t before = calls.value();
-  layer.set_binary_algo(BinaryAlgo::kAuto);
-  // Padding=1 puts zeros in the im2col patches: the masked bgemm path.
+  // K = 18 taps; padding=1 puts zeros in the im2col patches: the masked
+  // bgemm path.
   expect_bitwise_eq(layer.forward(x, /*training=*/false), direct);
   EXPECT_GT(calls.value(), before);
 }
@@ -447,58 +448,6 @@ TEST(BinaryConv2dInference, BackwardStillRequiresTrainingForward) {
   EXPECT_THROW((void)layer.backward(Tensor({1, 2, 4, 4}, 1.0f)), std::logic_error);
 }
 
-// ----------------------------------------------------------- patch cache ----
-
-class PatchCacheTest : public ::testing::Test {
- protected:
-  void TearDown() override { set_patch_cache_enabled(true); }
-};
-
-TEST_F(PatchCacheTest, DenseDedupsConsecutiveRowsBitwise) {
-  std::mt19937_64 engine(83);
-  BinaryDense layer(20, 8, engine);
-  // B=2 requests stacked T=3 times each — the fused-MC layout.
-  const Tensor unique = random_pm1({2, 20}, engine);
-  Tensor stacked({6, 20});
-  for (std::size_t b = 0; b < 2; ++b) {
-    for (std::size_t t = 0; t < 3; ++t) {
-      for (std::size_t j = 0; j < 20; ++j) {
-        stacked.at(b * 3 + t, j) = unique.at(b, j);
-      }
-    }
-  }
-
-  set_patch_cache_enabled(false);
-  const Tensor ref = layer.forward(stacked, /*training=*/false);
-
-  obs::Counter& hits = obs::Registry::global().counter("nn.patch_cache.hits");
-  set_patch_cache_enabled(true);
-  const std::uint64_t before = hits.value();
-  expect_bitwise_eq(layer.forward(stacked, /*training=*/false), ref);
-  EXPECT_EQ(hits.value(), before + 4);  // 6 rows, 2 unique
-}
-
-TEST_F(PatchCacheTest, ConvDedupsConsecutiveImagesBitwise) {
-  std::mt19937_64 engine(89);
-  BinaryConv2d layer(1, 3, 3, 1, engine);
-  const Tensor image = random_pm1({1, 1, 5, 5}, engine);
-  Tensor stacked({4, 1, 5, 5});
-  for (std::size_t b = 0; b < 4; ++b) {
-    for (std::size_t i = 0; i < 25; ++i) {
-      stacked[b * 25 + i] = image[i];
-    }
-  }
-
-  set_patch_cache_enabled(false);
-  const Tensor ref = layer.forward(stacked, /*training=*/false);
-
-  obs::Counter& hits = obs::Registry::global().counter("nn.patch_cache.hits");
-  set_patch_cache_enabled(true);
-  const std::uint64_t before = hits.value();
-  expect_bitwise_eq(layer.forward(stacked, /*training=*/false), ref);
-  EXPECT_EQ(hits.value(), before + 3);  // 4 images, 1 unique
-}
-
 // ------------------------------------------------- end-to-end equivalence ----
 
 core::BuiltModel fixed_mlp() {
@@ -510,11 +459,57 @@ core::BuiltModel fixed_mlp() {
   return model;
 }
 
-std::vector<core::Prediction> run_fused(core::BuiltModel model) {
+constexpr std::size_t kMcSamples = 5;
+const std::vector<std::uint64_t> kSeeds = {101, 202, 303};
+
+Tensor fused_inputs() {
   std::mt19937_64 engine(97);
-  const Tensor inputs = Tensor::randn({3, 16}, 1.0f, engine);
-  const std::vector<std::uint64_t> seeds = {101, 202, 303};
-  return core::predict_fused_batch(model, inputs, seeds, /*mc_samples=*/5);
+  return Tensor::randn({kSeeds.size(), 16}, 1.0f, engine);
+}
+
+std::vector<core::Prediction> run_fused(core::BuiltModel model) {
+  return core::predict_fused_batch(model, fused_inputs(), kSeeds, kMcSamples);
+}
+
+/// Float reference of run_fused: the stacked (B*T) forward run layer by
+/// layer under the same per-row seeds, every binary layer through the
+/// training-mode forward of a clone (float GEMM, no packing, no shared
+/// head), then the same per-request reduction.
+std::vector<core::Prediction> run_float_reference(const core::BuiltModel& model) {
+  const Tensor inputs = fused_inputs();
+  const std::size_t batch = inputs.dim(0);
+  const std::size_t features = inputs.dim(1);
+  Tensor x({batch * kMcSamples, features});
+  std::vector<std::uint64_t> row_seeds(batch * kMcSamples);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t t = 0; t < kMcSamples; ++t) {
+      for (std::size_t f = 0; f < features; ++f) {
+        x.at(b * kMcSamples + t, f) = inputs.at(b, f);
+      }
+      row_seeds[b * kMcSamples + t] = mix_seed(kSeeds[b], t);
+    }
+  }
+  core::BuiltModel oracle = model.clone();
+  oracle.net.reseed_rows(row_seeds);
+  for (std::size_t i = 0; i < oracle.net.size(); ++i) {
+    Layer& layer = oracle.net.layer(i);
+    const bool binary = dynamic_cast<BinaryDense*>(&layer) != nullptr ||
+                        dynamic_cast<BinaryConv2d*>(&layer) != nullptr;
+    x = binary ? training_forward(layer, x) : layer.forward(x, /*training=*/false);
+  }
+  const Tensor probs = softmax_rows(x);
+  const std::size_t classes = probs.dim(1);
+  std::vector<core::Prediction> out;
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::vector<Tensor> member_probs;
+    for (std::size_t t = 0; t < kMcSamples; ++t) {
+      const auto row = probs.data().subspan((b * kMcSamples + t) * classes, classes);
+      member_probs.emplace_back(Shape{1, classes},
+                                std::vector<float>(row.begin(), row.end()));
+    }
+    out.push_back(core::McPredictor(kMcSamples, kSeeds[b]).reduce(std::move(member_probs)));
+  }
+  return out;
 }
 
 void expect_same_predictions(const std::vector<core::Prediction>& a,
@@ -533,27 +528,19 @@ void expect_same_predictions(const std::vector<core::Prediction>& a,
 }
 
 TEST(ServeEquivalence, FixedSeedPredictionsInvariantToComputePath) {
-  core::BuiltModel model = fixed_mlp();
-  const auto ref = [&] {
-    core::BuiltModel oracle = model.clone();
-    oracle.set_binary_algo(BinaryAlgo::kFloat);
-    set_patch_cache_enabled(false);
-    auto out = run_fused(std::move(oracle));
-    set_patch_cache_enabled(true);
-    return out;
-  }();
-  // Default path: kAuto + patch cache + dispatched kernels.
+  const core::BuiltModel model = fixed_mlp();
+  const std::vector<core::Prediction> ref = run_float_reference(model);
+  // Default path: shared head, packed kernels, dispatched tier. The hidden
+  // layers see ternary activations, so the packed kernel must have run.
+  obs::Counter& calls = obs::Registry::global().counter("nn.bgemm.calls");
+  const std::uint64_t before = calls.value();
   expect_same_predictions(run_fused(model.clone()), ref);
+  EXPECT_GT(calls.value(), before);
   // Scalar tier.
   {
     simd::ScopedTier tier(simd::Tier::kScalar);
     expect_same_predictions(run_fused(model.clone()), ref);
   }
-  // The fused stack dedups: T=5 passes of 3 requests hit the first layer.
-  obs::Counter& hits = obs::Registry::global().counter("nn.patch_cache.hits");
-  const std::uint64_t before = hits.value();
-  (void)run_fused(model.clone());
-  EXPECT_GE(hits.value() - before, 12u);  // >= (5-1)*3 on the first layer
 }
 
 }  // namespace

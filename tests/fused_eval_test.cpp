@@ -1,5 +1,6 @@
-// Fused batched Monte-Carlo path: core::predict_fused_batch stacks the T
-// stochastic passes of B requests into one (B*T x F) forward per layer.
+// Fused batched Monte-Carlo path: core::predict_fused_batch runs the
+// deterministic head once on the B requests and stacks the T stochastic
+// passes of the tail into one (B*T x width) forward per layer.
 // Its contract — pinned here as a property over arbitrary (method, B, T,
 // worker count) — is bitwise equality with the unfused per-request loop:
 // every row's Prediction must equal McPredictor(T, seed_b).predict(row_b)
@@ -187,7 +188,10 @@ INSTANTIATE_TEST_SUITE_P(
         FusedCase{core::Method::kSpinScaleDrop, true, 4, 3, 1},
         FusedCase{core::Method::kAffineDropout, false, 8, 5, 2},
         FusedCase{core::Method::kSubsetVi, false, 6, 7, 3},
-        FusedCase{core::Method::kSpinBayes, false, 10, 4, 2}));
+        FusedCase{core::Method::kSpinBayes, false, 10, 4, 2},
+        // No stochastic layer: the head is the whole network and the
+        // stacked tail is empty.
+        FusedCase{core::Method::kDeterministic, false, 5, 4, 3}));
 
 // SpinDrop backed by MTJ modules keeps the per-row replay (reseed every
 // module, sample each unit, charge the ledger) while pseudo pools draw

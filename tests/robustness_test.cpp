@@ -37,6 +37,7 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -576,6 +577,68 @@ TEST(Runtime, PredictWithRetryNeverRetriesShutdown) {
   } catch (const serve::OverloadError& error) {
     EXPECT_EQ(error.reason(), serve::ShedReason::kShutdown);
   }
+}
+
+// ------------------------------------------------------ input contract ----
+
+void expect_rejected_at(std::future<serve::ServedPrediction>& future,
+                        std::size_t feature) {
+  try {
+    (void)future.get();
+    FAIL() << "a non-finite feature must fail the request";
+  } catch (const std::invalid_argument& error) {
+    const std::string expected = "feature " + std::to_string(feature) + " is not finite";
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+        << error.what();
+  }
+}
+
+/// NaN and infinite features fail their request at submission, naming the
+/// first such feature, and leave a finite request of the same burst with
+/// the bits it gets when served alone.
+void expect_non_finite_rejected(serve::Backend backend) {
+  const core::BuiltModel model = tiny_model();
+  const nn::Dataset data = tiny_dataset(37);
+  serve::RuntimeConfig config;
+  config.backend = backend;
+  config.workers = 1;
+  config.mc_samples = 3;
+  config.batcher.max_batch = 8;
+  config.batcher.max_linger = 5ms;
+
+  const std::vector<float> good = sample_row(data, 0);
+  constexpr std::uint64_t kGoodSeed = 77;
+  std::vector<float> reference;
+  {
+    serve::Runtime alone(model, config);
+    reference = alone.submit(good, kGoodSeed).get().probs;
+  }
+
+  const std::vector<float> all_nan(good.size(), std::numeric_limits<float>::quiet_NaN());
+  std::vector<float> pos_inf = good;
+  pos_inf[5] = std::numeric_limits<float>::infinity();
+  std::vector<float> neg_inf = good;
+  neg_inf[200] = -std::numeric_limits<float>::infinity();
+
+  serve::Runtime runtime(model, config);
+  auto nan_future = runtime.submit(all_nan, 1);
+  auto good_future = runtime.submit(good, kGoodSeed);
+  auto pos_future = runtime.submit(pos_inf, 2);
+  auto neg_future = runtime.submit(neg_inf, 3);
+  expect_rejected_at(nan_future, 0);
+  expect_rejected_at(pos_future, 5);
+  expect_rejected_at(neg_future, 200);
+  EXPECT_EQ(good_future.get().probs, reference);
+  EXPECT_EQ(runtime.metrics().counter("serve.rejected_input").value(), 3u);
+  EXPECT_EQ(runtime.stats().shed, 0u);
+}
+
+TEST(InputContract, NonFiniteFeaturesFailBeforeAdmissionBehavioral) {
+  expect_non_finite_rejected(serve::Backend::kBehavioral);
+}
+
+TEST(InputContract, NonFiniteFeaturesFailBeforeAdmissionCascade) {
+  expect_non_finite_rejected(serve::Backend::kCascade);
 }
 
 // -------------------------------------------------------- supervision ----

@@ -278,8 +278,8 @@ TEST(Runtime, InvariantToWorkerCountAndBatching) {
 
 // The same requests through deliberately different batch compositions
 // (singletons, odd-sized partial batches, one big stack) and with the
-// fused path disabled: every configuration must serve bitwise identical
-// predictions.
+// stacked tail split over a team: every configuration must serve bitwise
+// identical predictions.
 TEST(Runtime, InvariantToMixedBatchCompositionAndFusion) {
   const core::BuiltModel model = tiny_model();
   const nn::Dataset data = tiny_dataset(28);
@@ -311,8 +311,8 @@ TEST(Runtime, InvariantToMixedBatchCompositionAndFusion) {
     configs.push_back(c);
   }
   {
-    serve::RuntimeConfig c = base;  // per-request loop (fusion off)
-    c.fused_batching = false;
+    serve::RuntimeConfig c = base;  // stacked tail split over a team of 2
+    c.fused_workers = 2;
     c.batcher.max_batch = 8;
     c.batcher.max_linger = 1ms;
     configs.push_back(c);
@@ -486,7 +486,6 @@ TEST(Runtime, RollingLatencyWindowReportsPercentiles) {
   serve::RuntimeConfig config;
   config.workers = 2;
   config.mc_samples = 2;
-  config.latency_window = 8;  // smaller than the request count: must roll
   serve::Runtime runtime(model, config);
   const auto served = serve_all(runtime, data, 12);
 
